@@ -17,15 +17,27 @@ term tightens it to the same shape with updated exponents and constant:
     C' = (C/2)^p / (2 (p a + 2)^2),
 
 seeded by (a1, b1, C1) = (m+1, kbar+1, C0).  C_k behaves like
-exp(+-p^k), so the constant is carried as log C_k throughout.  The
-minimum K of the explicit minimand p^(2k) / (2^(p+1) (p a_k + 2)^2)
-(including its k -> infinity limit) gives C_(k+1) >= K C_k^p / p^(2k),
-which unrolls to
+exp(+-p^k), so the constant is carried as log C_k throughout.  With
+a_k = A p^(k-1) + B the explicit minimand is
+
+    p^(2k) / (2^(p+1) (p a_k + 2)^2) = 1 / (2^(p+1) (A + (p B + 2) p^(-k))^2).
+
+For A > 0 the a_k increase from a_1 = m + 1 > 0, so the bracket
+(p a_k + 2) p^(-k) stays positive while its p^(-k) term has one sign:
+the minimand is monotone in k and its infimum over k >= 1 is
+
+    K = min(minimand(1), 1 / (2^(p+1) A^2)).
+
+Then C_(k+1) >= K C_k^p / p^(2k), which unrolls to
 
     log C_(k+1) >= p^k (log C0 - S(k)),
     S(k) = sum_(j=1..k) (j log p^2 - log K) / p^j,
 
-and S(k) is dominated by its limit S_limit.  Positivity of
+and S(k) is dominated by its limit, a pair of geometric series:
+
+    S_limit = log p^2 x / (1-x)^2 - log K x / (1-x),   x = 1/p.
+
+Positivity of
 
     J(t, r) = log C0 - S_limit + (m + 1 - mu/2 + 2/(p-1)) log t
               - (kbar + 1 + m) log(r + t)
@@ -103,12 +115,10 @@ class IterationState:
 @dataclass(frozen=True)
 class IterationConstants:
     """Derived constants of the iteration: K, the series limit S_limit,
-    the index attaining the K-minimum (0 = attained in the tail limit),
     and log C0."""
 
     K: float
     S_limit: float
-    k_star: int
     logC0: float
 
 
@@ -177,70 +187,27 @@ def closed_form(k: int, cfg: BoundConfig) -> tuple[float, float]:
     return a, b
 
 
-def _geometric_tails(x: float, j: int) -> tuple[float, float]:
-    """Exact tails sum_{i>j} x^i and sum_{i>j} i x^i for 0 < x < 1."""
-    t1 = x ** (j + 1) / (1.0 - x)
-    t2 = x ** (j + 1) * ((j + 1) - j * x) / (1.0 - x) ** 2
-    return t1, t2
+def derive_K(cfg: BoundConfig) -> IterationConstants:
+    """K and S_limit in closed form.
 
-
-def derive_K(cfg: BoundConfig, k_max: int = 200) -> IterationConstants:
-    """Construct K as the infimum of the explicit minimand
-
-        p^(2k) / (2^(p+1) (p a_k + 2)^2)
-            = 1 / (2^(p+1) (A + (p B + 2) p^(-k))^2)
-
-    over k in [1, k_max] together with its analytic tail limit
-    1 / (2^(p+1) A^2).  The minimand is monotone in k (the p^(-k) term
-    has one sign), so this is the true infimum over all k; convergence to
-    the tail within k_max is verified and a failure asks for a larger
-    k_max.  S_limit accumulates (j log p^2 - log K)/p^j until the exact
-    geometric tail drops below 1e-16.
+    The minimand p^(2k) / (2^(p+1) (p a_k + 2)^2) equals
+    1 / (2^(p+1) (A + (p B + 2) p^(-k))^2).  For A > 0 the bracket is
+    positive for every k >= 1 and moves monotonically towards A, so the
+    infimum over k is the smaller of the k = 1 value and the limit
+    1 / (2^(p+1) A^2).  S_limit = sum_(j>=1) (j log p^2 - log K) x^j with
+    x = 1/p sums to log p^2 x/(1-x)^2 - log K x/(1-x).
     """
-    P = cfg.params
-    p = P.p
-    if k_max < 10:
-        raise ValueError(f"k_max must be >= 10, got {k_max}")
+    p = cfg.params.p
     A, B = _growth_coefficients(cfg)
     if not A > 0:
         raise HypothesisError(
             f"iteration growth coefficient m + 1 - mu/2 + 2/(p-1) must be positive, got {A}"
         )
-
     scale = 2.0 ** (p + 1.0)
-    shift = p * B + 2.0
-
-    def minimand(k: int) -> float:
-        return 1.0 / (scale * (A + shift * p ** (-k)) ** 2)
-
-    tail = 1.0 / (scale * A * A)
-    K = tail
-    k_star = 0
-    for k in range(1, k_max + 1):
-        v = minimand(k)
-        if v < K:
-            K = v
-            k_star = k
-    if abs(minimand(k_max) - tail) > 1e-9 * tail:
-        raise ValueError(
-            f"minimand has not converged to its tail limit within k_max={k_max}; increase k_max"
-        )
-
+    K = min(1.0 / (scale * (A + (p * B + 2.0) / p) ** 2), 1.0 / (scale * A * A))
     x = 1.0 / p
-    L = math.log(p * p)
-    logK = math.log(K)
-    S = 0.0
-    j = 0
-    while True:
-        j += 1
-        if j > 200_000:
-            raise ValueError("series for S_limit failed to converge; p too close to 1")
-        S += (j * L - logK) * x**j
-        t1, t2 = _geometric_tails(x, j)
-        if L * t2 + abs(logK) * t1 < 1e-16:
-            break
-
-    return IterationConstants(K=K, S_limit=S, k_star=k_star, logC0=seed_constant(cfg))
+    S = math.log(p * p) * x / (1.0 - x) ** 2 - math.log(K) * x / (1.0 - x)
+    return IterationConstants(K=K, S_limit=S, logC0=seed_constant(cfg))
 
 
 def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float:
@@ -257,7 +224,7 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
     return consts.logC0 - consts.S_limit + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
 
 
-def lifespan_upper_bound(cfg: BoundConfig, k_max: int = 200) -> LifespanBound:
+def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     """Explicit bound T(eps) <= C eps^(-exponent), with
 
         C = (e^S_limit delta_m^m / (2^(m-2) M) ((1+delta)/delta)^(kbar+1)
@@ -277,7 +244,7 @@ def lifespan_upper_bound(cfg: BoundConfig, k_max: int = 200) -> LifespanBound:
         raise HypothesisError(
             f"kbar < 2/(p-1) - mu/2 fails: kbar={P.kbar}, 2/(p-1) - mu/2={P.kbar + denom}"
         )
-    consts = derive_K(cfg, k_max=k_max)
+    consts = derive_K(cfg)
     m = P.m
     log_inner = (
         consts.S_limit

@@ -34,7 +34,12 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text.strip()!r}")
 
 
 # option registry: dest -> (type, default, help); argparse defaults stay None
@@ -58,7 +63,6 @@ _MODEL_OPTS = {
 _BOUND_OPTS = {
     "delta": (float, 1.0, "blow-up set margin delta (> 0)"),
     "delta_m": (float, 1.0, "free-wave floor constant delta_m (> 0, user-supplied; all bounds conditional on it)"),
-    "k_max": (int, 200, "iteration depth for the K construction"),
 }
 
 _GRID_OPTS = {
@@ -166,7 +170,10 @@ def _read_config(path: str, opts: dict) -> dict:
         if key not in opts:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         typ = opts[key][0]
-        values[key] = _bool(value) if typ is bool else typ(value.strip())
+        try:
+            values[key] = _bool(value) if typ is bool else typ(value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -235,8 +242,8 @@ def _cmd_classify(cfg: dict) -> int:
 
 def _cmd_bound(cfg: dict) -> int:
     bc = bound_engine.BoundConfig(params=_params(cfg), delta=cfg["delta"], delta_m=cfg["delta_m"])
-    consts = bound_engine.derive_K(bc, k_max=cfg["k_max"])
-    bound = bound_engine.lifespan_upper_bound(bc, k_max=cfg["k_max"])
+    consts = bound_engine.derive_K(bc)
+    bound = bound_engine.lifespan_upper_bound(bc)
     _emit(
         {
             "C0": math.exp(consts.logC0),

@@ -102,7 +102,7 @@ def test_criterion_3_recursion_closed_form_and_log_bound():
             delta=float(rng.uniform(0.2, 3.0)),
             delta_m=float(rng.uniform(0.3, 3.0)),
         )
-        consts = derive_K(cfg, k_max=400)
+        consts = derive_K(cfg)
         state = initial_state(cfg)
         for k in range(2, 31):
             state = iterate(state, cfg)

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from blowuplab.cli import main
+from blowuplab.cli import _build_parser, _merge, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(capsys, *args):
@@ -230,6 +234,30 @@ class TestConfigFile:
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classify", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3
+
+    def test_misspelt_bool_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=3\nmu=2\nnu=0\nkbar=0.5\np=1.8\nr_max=20\nt_max=8\neps_values=5,7.5,11.25,16.875\ncheck_bound=ture\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"))
+        assert code == 2
+        assert f"{cfg}:9" in err and "check_bound" in err and "ture" in err
+        assert not (tmp_path / "sw").exists()
+
+
+class TestCommittedConfigs:
+    def test_atlas_config_runs(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "atlas", "--config", str(CONFIGS / "atlas_n3_mu2.cfg"), "--out", str(tmp_path))
+        assert code == 0
+        assert sum(json.loads(out)["counts"].values()) == 200 * 200
+        assert len((tmp_path / "atlas.csv").read_text(encoding="utf-8").splitlines()) == 1 + 200 * 200
+        assert (tmp_path / "atlas.svg").exists()
+
+    def test_sweep_config_merges(self):
+        args = _build_parser().parse_args(["sweep", "--config", str(CONFIGS / "lifespan_sweep_c7.cfg")])
+        cfg = _merge(args)
+        assert cfg["eps_values"] == tuple(np.geomspace(2.0, 10.0, 5))
+        assert cfg["check_bound"] is True
+        assert (cfg["p"], cfg["kbar"], cfg["M"], cfg["r_max"], cfg["t_max"]) == (1.8, 0.5, 0.02, 500.0, 230.0)
 
 
 class TestJobsEnv:
