@@ -127,6 +127,7 @@ class LifespanBound:
     C: float
     exponent: float
     T_upper: float
+    constants: IterationConstants
 
 
 def in_sigma(t: float, r: float, cfg: BoundConfig) -> bool:
@@ -256,7 +257,7 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     )
     exponent = 1.0 / denom
     C = math.exp(exponent * log_inner)
-    return LifespanBound(C=C, exponent=exponent, T_upper=C * P.eps ** (-exponent))
+    return LifespanBound(C=C, exponent=exponent, T_upper=C * P.eps ** (-exponent), constants=consts)
 
 
 def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:

@@ -224,7 +224,10 @@ def _jobs(cfg: dict) -> int:
         return max(1, int(cfg["jobs"]))
     env = os.environ.get(ENV_JOBS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{ENV_JOBS} must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -242,13 +245,12 @@ def _cmd_classify(cfg: dict) -> int:
 
 def _cmd_bound(cfg: dict) -> int:
     bc = bound_engine.BoundConfig(params=_params(cfg), delta=cfg["delta"], delta_m=cfg["delta_m"])
-    consts = bound_engine.derive_K(bc)
     bound = bound_engine.lifespan_upper_bound(bc)
     _emit(
         {
-            "C0": math.exp(consts.logC0),
-            "K": consts.K,
-            "S_limit": consts.S_limit,
+            "C0": math.exp(bound.constants.logC0),
+            "K": bound.constants.K,
+            "S_limit": bound.constants.S_limit,
             "C": bound.C,
             "exponent": bound.exponent,
             "T_upper": bound.T_upper,

@@ -4,8 +4,8 @@ An eps-sweep runs the solver across a geometric grid of data sizes,
 detects the blow-up time for each, and fits log T_num against log eps by
 unweighted least squares; the fitted slope is compared with the
 theoretical lifespan exponent (slope ~ -alpha).  Per-eps runs are
-independent work items; results are assembled in eps order so worker
-parallelism never changes the output.
+independent work items, submitted longest first; results are assembled
+in eps order so worker parallelism never changes the output.
 """
 
 from __future__ import annotations
@@ -110,11 +110,12 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
 
+    # longest first (finest level, then ascending eps) so no worker idles
     tasks = []
-    for i, eps in enumerate(spec.eps_values):
-        params = dataclasses.replace(base, eps=eps)
-        for level in range(spec.refinement_levels):
-            tasks.append((i, level, params, spec.grid.refined(2**level)))
+    for level in reversed(range(spec.refinement_levels)):
+        grid = spec.grid.refined(2**level)
+        for i, eps in enumerate(spec.eps_values):
+            tasks.append((i, level, dataclasses.replace(base, eps=eps), grid))
 
     if jobs is None:
         jobs = max(1, os.cpu_count() or 1)

@@ -1,48 +1,42 @@
 """Explicit radial finite-difference solver with blow-up detection.
 
-Both forms of the problem are discretized on the uniform grid
-r_i = i dr, i = 0..N, with a three-level leapfrog in time:
+Every form is discretized on the uniform grid r_i = i dr, i = 0..N, by
+one three-level leapfrog update with per-form coefficients (beta, a, c),
 
-* u-form (potential form):
+    (1+beta) u^(j+1) = 2 u^j - (1-beta) u^(j-1)
+                       + dt^2 (L u^j + a |u^j|^p + c u^j/(1+t_j)^2),
 
-      u_tt - u_rr - (n-1)/r u_r
-          = (1+t)^(-mu(p-1)/2) |u|^p + ((mu/2)(mu/2-1) - nu) u/(1+t)^2,
+where L u = u_rr + (n-1)/r u_r by central differences:
 
-  fully explicit update;
-
-* v-form (damped form):
-
-      v_tt - v_rr - (n-1)/r v_r + mu/(1+t) v_t + nu/(1+t)^2 v = |v|^p,
-
-  with the damping term discretized by the centered difference
-  (v^(j+1) - v^(j-1))/(2 dt) and the update solved for v^(j+1) in closed
-  form (explicit cost, second order);
-
+* u-form, u_tt - L u = (1+t)^(-mu(p-1)/2) |u|^p + c u/(1+t)^2 with
+  c = (mu/2)(mu/2-1) - nu: beta = 0, a = (1+t)^(-mu(p-1)/2);
+* v-form, v_tt - L v + mu/(1+t) v_t + nu/(1+t)^2 v = |v|^p, damping by
+  the centered difference (v^(j+1) - v^(j-1))/(2 dt):
+  beta = mu dt/(2(1+t)), a = 1, c = -nu;
 * free form: the bare wave operator, no source (reference runs).
 
-The two solution forms describe the same dynamics through
+The u- and v-forms describe the same dynamics through
 u = (1+t)^(mu/2) v; `transform_check` measures the discrete residue of
 that identity.
 
-Origin: by radial symmetry u_r(t, 0) = 0, so the spatial operator at
-r = 0 is its limit n u_rr, discretized with the even extension
-u_(-1) = u_1.  That stencil carries an exact eigenvalue -2n/dr^2 for
-n = 3 (and nearby values for other n), which caps the stable Courant
-ratio at about sqrt(2/n) -- stricter than the 1-D limit 1.  `run`
-validates the ratio against `max_stable_cfl` before stepping.
+Origin: by radial symmetry u_r(t, 0) = 0, so L at r = 0 is its limit
+n u_rr, discretized with the even extension u_(-1) = u_1.  That stencil
+caps the stable Courant ratio (`max_stable_cfl`), which `run` checks
+before stepping.
 
-Outer boundary: no absorbing condition.  The boundary value is frozen
-after the first step and correctness is guaranteed only inside the
-shrinking causal region r <= r_max - t/cfl (the discrete stencil moves
-one node per step, i.e. at speed 1/cfl >= 1); amplitude monitoring,
-snapshots and blow-up detection are restricted to it, and `run` requires
-r_max > t_max/cfl so the region never empties.
+Outer boundary: no absorbing condition, so values are correct only
+inside the shrinking causal region r <= r_max - t/cfl (the discrete
+stencil moves one node per step, i.e. at speed 1/cfl >= 1).  `run`
+requires r_max > t_max/cfl so the region never empties, restricts
+amplitude monitoring, snapshots and blow-up detection to it, and updates
+only its nodes, one fewer per step: values outside it never reach it.
+`step` updates the whole grid with the outer node frozen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -62,7 +56,6 @@ __all__ = [
     "initial_data",
     "rhs",
     "max_stable_cfl",
-    "radial_laplacian",
     "first_step",
     "step",
     "run",
@@ -125,13 +118,7 @@ class GridSpec:
 
     def refined(self, factor: int = 2) -> "GridSpec":
         """Same domain with dr (hence dt) divided by `factor`."""
-        return GridSpec(
-            dr=self.dr / factor,
-            r_max=self.r_max,
-            t_max=self.t_max,
-            cfl=self.cfl,
-            u_threshold=self.u_threshold,
-        )
+        return replace(self, dr=self.dr / factor)
 
 
 def initial_data(r, params: ModelParams):
@@ -140,22 +127,21 @@ def initial_data(r, params: ModelParams):
 
 
 def rhs(form: Form, t: float, u, params: ModelParams):
-    """Nonlinear source by form.
-
-    u-form carries the full right-hand side
-    (1+t)^(-mu(p-1)/2)|u|^p + ((mu/2)(mu/2-1) - nu) u/(1+t)^2; the v-form
-    returns only |v|^p (damping and mass live in the time stencil); the
-    free form has no source.
-    """
+    """Source term a|u|^p + c u/(1+t)^2 of the update: the full right-hand
+    side of the u-form, |v|^p - nu v/(1+t)^2 for the v-form (damping lives
+    in the time stencil), zero for the free form."""
     u = np.asarray(u, dtype=float)
     if form is Form.FREE:
         return np.zeros_like(u)
-    power = np.abs(u) ** params.p
-    if form is Form.V:
-        return power
-    mu, nu = params.mu, params.nu
-    coeff = 0.25 * mu * (mu - 2.0) - nu
-    return (1.0 + t) ** (-mu * (params.p - 1.0) / 2.0) * power + coeff * u / (1.0 + t) ** 2
+    src = np.abs(u)
+    src **= params.p
+    mu, c = params.mu, -params.nu
+    if form is Form.U:
+        src *= (1.0 + t) ** (-mu * (params.p - 1.0) / 2.0)
+        c = 0.25 * mu * (mu - 2.0) - params.nu
+    if c:
+        src += c * u / (1.0 + t) ** 2
+    return src
 
 
 def max_stable_cfl(n: int) -> float:
@@ -169,16 +155,39 @@ def max_stable_cfl(n: int) -> float:
     return min(0.9, 0.995 * math.sqrt(2.0 / n))
 
 
-def radial_laplacian(u: np.ndarray, dr: float, r: np.ndarray, n: int) -> np.ndarray:
-    """u_rr + (n-1)/r u_r with central differences; n u_rr (even extension)
-    at the origin; zero at the frozen outer node."""
-    lap = np.empty_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2 + (n - 1.0) / r[1:-1] * (
-        u[2:] - u[:-2]
-    ) / (2.0 * dr)
-    lap[0] = 2.0 * n * (u[1] - u[0]) / dr**2
-    lap[-1] = 0.0
-    return lap
+class _Leapfrog:
+    """The leapfrog update of one form on one grid, set up once per run."""
+
+    def __init__(self, form: Form, params: ModelParams, grid: GridSpec) -> None:
+        self.form, self.params, self.dt = form, params, grid.dt
+        self.dr2, self.two_dr = grid.dr**2, 2.0 * grid.dr
+        self.w = (params.n - 1.0) / grid.radii()[1:-1]
+        self.s, self.x, self.y = np.empty((3, grid.n_nodes))
+
+    def __call__(self, u: np.ndarray, up: np.ndarray, t: float, m: int) -> None:
+        """Overwrite up[:m] (level j-1) with level j+1 from level j in u at
+        time t, reading u[:m+1]; s collects L u plus the source, y = 2u.
+        Operations follow the textbook expressions' order, whatever m is."""
+        s, x, y, up = self.s[:m], self.x[:m], self.y[:m], up[:m]
+        beta = self.params.mu * self.dt / (2.0 * (1.0 + t)) if self.form is Form.V else 0.0
+        np.multiply(u[:m], 2.0, out=y)
+        np.subtract(u[2 : m + 1], y[1:], out=s[1:])
+        np.add(s[1:], u[: m - 1], out=s[1:])
+        np.divide(s[1:], self.dr2, out=s[1:])
+        np.subtract(u[2 : m + 1], u[: m - 1], out=x[1:])
+        np.multiply(self.w[: m - 1], x[1:], out=x[1:])
+        np.divide(x[1:], self.two_dr, out=x[1:])
+        np.add(s[1:], x[1:], out=s[1:])
+        s[0] = 2.0 * self.params.n * (u[1] - u[0]) / self.dr2
+        if beta:
+            np.multiply(up, 1.0 - beta, out=up)
+        np.subtract(y, up, out=up)
+        if self.form is not Form.FREE:
+            np.add(s, rhs(self.form, t, u[:m], self.params), out=s)
+        np.multiply(s, self.dt**2, out=s)
+        np.add(up, s, out=up)
+        if beta:
+            np.divide(up, 1.0 + beta, out=up)
 
 
 @dataclass
@@ -205,31 +214,18 @@ def first_step(form: Form, g: np.ndarray, eps: float, dt: float, mu: float) -> n
 
 
 def step(state: SolverState, grid: GridSpec, params: ModelParams, form: Form) -> SolverState:
-    """One leapfrog update.  Non-finite values are left to the caller's
-    blow-up detection; they are not an error."""
-    dt, dr = grid.dt, grid.dr
-    r = grid.radii()
-    u, up = state.u_curr, state.u_prev
-    t = state.t
-    lap = radial_laplacian(u, dr, r, params.n)
-    src = rhs(form, t, u, params)
-    if form is Form.V:
-        beta = params.mu * dt / (2.0 * (1.0 + t))
-        mass = params.nu * u / (1.0 + t) ** 2
-        u_next = (2.0 * u - (1.0 - beta) * up + dt**2 * (lap + src - mass)) / (1.0 + beta)
-    else:
-        u_next = 2.0 * u - up + dt**2 * (lap + src)
-    u_next[-1] = u[-1]
-    return SolverState(j=state.j + 1, t=t + dt, u_prev=u, u_curr=u_next)
+    """One leapfrog update of the whole grid, the outer node frozen.
+    Non-finite values are left to the caller; they are not an error."""
+    u_next = np.array(state.u_prev, dtype=float)
+    _Leapfrog(form, params, grid)(state.u_curr, u_next, state.t, grid.n_nodes - 1)
+    u_next[-1] = state.u_curr[-1]
+    return SolverState(j=state.j + 1, t=state.t + grid.dt, u_prev=state.u_curr, u_curr=u_next)
 
 
 def causal_node_count(grid: GridSpec, t: float) -> int:
-    """Number of leading grid nodes unaffected by the frozen boundary at
-    time t.
-
-    The discrete stencil moves one node per step, i.e. at speed
-    dr/dt = 1/cfl >= 1, faster than the physical speed 1; the boundary
-    freeze therefore pollutes nodes within j(t) = t/dt of the outer node."""
+    """Number of leading grid nodes unaffected by the outer boundary at time
+    t: the discrete stencil moves one node per step, so the boundary
+    pollutes nodes within j(t) = t/dt of the outer node."""
     j = int(round(t / grid.dt))
     return max(1, min(grid.n_nodes, grid.n_nodes - j))
 
@@ -297,53 +293,53 @@ def run(
             raise ConfigurationError(f"snapshot time {s} outside [0, t_max]")
     snapshots: list[Snapshot] = []
 
-    state = SolverState(j=1, t=dt, u_prev=np.zeros_like(r), u_curr=first_step(form, g_vals, params.eps, dt, params.mu))
+    # two level buffers: the kernel overwrites level j-1 with level j+1
+    kernel = _Leapfrog(form, params, grid)
+    u, up = first_step(form, g_vals, params.eps, dt, params.mu), np.zeros_like(r)
+    t = dt
+    nc = causal_node_count(grid, t)
 
-    def take_due_snapshots(st: SolverState) -> None:
+    def take_due_snapshots() -> None:
         # nearest-step semantics: fire once the step midpoint passes the
         # requested time, so a request at t_max is never missed
-        while pending and st.t + dt / 2.0 >= pending[0]:
+        while pending and t + dt / 2.0 >= pending[0]:
             pending.pop(0)
-            nc = causal_node_count(grid, st.t)
-            snapshots.append(Snapshot(t=st.t, r=r[:nc].copy(), u=st.u_curr[:nc].copy()))
+            snapshots.append(Snapshot(t=t, r=r[:nc].copy(), u=u[:nc].copy()))
 
     if pending and pending[0] == 0.0:
         pending.pop(0)
-        nc = causal_node_count(grid, 0.0)
-        snapshots.append(Snapshot(t=0.0, r=r[:nc].copy(), u=np.zeros(nc)))
+        n0 = causal_node_count(grid, 0.0)
+        snapshots.append(Snapshot(t=0.0, r=r[:n0].copy(), u=np.zeros(n0)))
 
-    history = []
-    amp = float(np.max(np.abs(state.u_curr[: causal_node_count(grid, state.t)])))
-    if collect_history:
-        history.append((state.t, amp))
-    take_due_snapshots(state)
+    # max |u| without an abs temporary; NaN or inf stays non-finite
+    amp = float(max(u[:nc].max(), -u[:nc].min()))
+    history = [(t, amp)] if collect_history else []
+    take_due_snapshots()
 
     T_num = None
-    n_steps = int(round(grid.t_max / dt))
-    while state.j < n_steps:
-        new_state = step(state, grid, params, form)
-        nc = causal_node_count(grid, new_state.t)
-        block = new_state.u_curr[:nc]
-        new_amp = float(np.max(np.abs(block)))
+    for _ in range(1, int(round(grid.t_max / dt))):
+        nc = causal_node_count(grid, t + dt)
+        kernel(u, up, t, nc)
+        u, up, t_prev, t = up, u, t, t + dt
+        new_amp = float(max(u[:nc].max(), -u[:nc].min()))
         if collect_history:
-            history.append((new_state.t, new_amp))
+            history.append((t, new_amp))
         if not math.isfinite(new_amp):
-            T_num = new_state.t
+            T_num = t
         elif new_amp >= grid.u_threshold:
             if math.isfinite(amp) and new_amp > amp:
                 frac = (grid.u_threshold - amp) / (new_amp - amp)
-                T_num = state.t + min(max(frac, 0.0), 1.0) * dt
+                T_num = t_prev + min(max(frac, 0.0), 1.0) * dt
             else:
-                T_num = new_state.t
-        state, amp = new_state, new_amp
+                T_num = t
+        amp = new_amp
         if T_num is not None:
             break
-        take_due_snapshots(state)
+        take_due_snapshots()
 
     hist = np.asarray(history) if history else np.empty((0, 2))
-    if T_num is not None:
-        return SolverRun(form, params, grid, "BlewUp", T_num, state.t, hist, snapshots)
-    return SolverRun(form, params, grid, "Survived", None, state.t, hist, snapshots)
+    outcome = "Survived" if T_num is None else "BlewUp"
+    return SolverRun(form, params, grid, outcome, T_num, t, hist, snapshots)
 
 
 def discrete_energy(state: SolverState, grid: GridSpec, n: int) -> float:

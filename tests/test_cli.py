@@ -1,10 +1,13 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound
 from blowuplab.cli import _build_parser, _merge, main
+from blowuplab.exponents import ModelParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,6 +58,19 @@ class TestBound:
         assert set(payload) == {"C0", "K", "S_limit", "C", "exponent", "T_upper", "delta_m", "conditional"}
         assert payload["conditional"] is True
         assert payload["exponent"] == pytest.approx(2.0)
+
+    def test_constants_come_from_the_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        cfg = BoundConfig(params=ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5), delta=1.0, delta_m=1.0)
+        bound = lifespan_upper_bound(cfg)
+        assert bound.constants == derive_K(cfg)
+        consts = bound.constants
+        assert (payload["K"], payload["S_limit"], payload["C0"]) == (consts.K, consts.S_limit, math.exp(consts.logC0))
+        assert (payload["C"], payload["T_upper"]) == (bound.C, bound.T_upper)
 
     def test_precondition_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -270,6 +286,16 @@ class TestJobsEnv:
             "--t-max", "8", "--refinement-levels", "1", "--out", str(tmp_path / "sw"),
         )
         assert code == 0
+
+    def test_non_integer_env_is_named(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BLOWUPLAB_JOBS", "two")
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
+            "--eps-values", "5,7.5,11.25,16.875", "--r-max", "20", "--t-max", "8", "--out", str(tmp_path / "sw"),
+        )
+        assert code == 2
+        assert "BLOWUPLAB_JOBS must be an integer, got 'two'" in err
 
 
 class TestHelp:

@@ -64,10 +64,12 @@ class TestRhs:
         u = np.array([0.3, -0.7])
         np.testing.assert_allclose(rhs(Form.U, 3.0, u, params), np.abs(u) ** 2.5, rtol=1e-14)
 
-    def test_v_form_is_bare_power(self):
+    def test_v_form_power_and_mass(self):
+        # the damping lives in the time stencil, the mass in the source
         params = ModelParams(n=3, mu=2.0, nu=1.0, p=2.0, kbar=0.5)
         u = np.array([0.3, -0.7])
-        np.testing.assert_allclose(rhs(Form.V, 3.0, u, params), np.abs(u) ** 2, rtol=1e-14)
+        expected = np.abs(u) ** 2 - 1.0 * u / 4.0**2
+        np.testing.assert_allclose(rhs(Form.V, 3.0, u, params), expected, rtol=1e-14)
 
 
 class TestStability:
@@ -194,6 +196,128 @@ class TestFreeWaveAccuracy:
             state = step(state, grid, params, Form.FREE)
             drift = max(drift, abs(discrete_energy(state, grid, 3) - E0) / E0)
         assert drift < 0.01
+
+
+def textbook_step(state, grid, params, form):
+    """The leapfrog update as plain array expressions over the whole grid:
+    the reference the solver's in-place kernel is checked against."""
+    dt, dr, n, t = grid.dt, grid.dr, params.n, state.t
+    r, u, up = grid.radii(), state.u_curr, state.u_prev
+    lap = np.zeros_like(u)
+    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2 + (n - 1.0) / r[1:-1] * (u[2:] - u[:-2]) / (2.0 * dr)
+    lap[0] = 2.0 * n * (u[1] - u[0]) / dr**2
+    mu, nu, p = params.mu, params.nu, params.p
+    if form is Form.V:
+        beta = mu * dt / (2.0 * (1.0 + t))
+        mass = nu * u / (1.0 + t) ** 2
+        u_next = (2.0 * u - (1.0 - beta) * up + dt**2 * (lap + np.abs(u) ** p - mass)) / (1.0 + beta)
+    else:
+        src = 0.0
+        if form is Form.U:
+            coeff = 0.25 * mu * (mu - 2.0) - nu
+            src = (1.0 + t) ** (-mu * (p - 1.0) / 2.0) * np.abs(u) ** p + coeff * u / (1.0 + t) ** 2
+        u_next = 2.0 * u - up + dt**2 * (lap + src)
+    u_next[-1] = u[-1]
+    return SolverState(j=state.j + 1, t=t + dt, u_prev=u, u_curr=u_next)
+
+
+def full_grid_levels(form, params, grid, n_levels):
+    """Levels 1..n_levels from a loop of full-grid `step` calls."""
+    r = grid.radii()
+    state = SolverState(
+        j=1, t=grid.dt, u_prev=np.zeros_like(r),
+        u_curr=first_step(form, initial_data(r, params), params.eps, grid.dt, params.mu),
+    )
+    levels = [state]
+    while len(levels) < n_levels:
+        state = step(state, grid, params, form)
+        levels.append(state)
+    return levels
+
+
+NU_PARAMS = ModelParams(n=3, mu=3.0, nu=0.5, p=1.8, kbar=0.5, M=1.0, eps=5.0)
+
+
+class TestKernelEquivalence:
+    """`run` updates only the causal window, in place; `step` updates the
+    whole grid.  Both go through one kernel, checked here against
+    `textbook_step`."""
+
+    CASES = [
+        (Form.U, BLOWUP_PARAMS, 0.0),
+        (Form.V, BLOWUP_PARAMS, 0.0),
+        (Form.FREE, BLOWUP_PARAMS, 0.0),
+        (Form.U, NU_PARAMS, 0.0),  # c = (mu/2)(mu/2-1) - nu = 0.25
+        # (lap + |v|^p) - mass here, lap + (|v|^p - mass) in the kernel
+        (Form.V, NU_PARAMS, 1e-12),
+    ]
+
+    @pytest.mark.parametrize("form, params, rtol", CASES)
+    def test_run_matches_full_grid_steps(self, form, params, rtol):
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
+        res = run(form, params, grid, snapshot_times=[1.0, 2.5, 4.0, 10.0])
+        hist = res.amplitude_history
+        levels = full_grid_levels(form, params, grid, len(hist))
+        for st in levels[:40]:
+            got = step(st, grid, params, form).u_curr
+            want = textbook_step(st, grid, params, form).u_curr
+            if rtol:
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+            else:
+                assert np.array_equal(got, want)
+
+        assert [st.t for st in levels] == list(hist[:, 0])
+        for st, amp in zip(levels, hist[:, 1]):
+            assert amp == np.max(np.abs(st.u_curr[: causal_node_count(grid, st.t)]))
+        by_time = {st.t: st for st in levels}
+        for snap in res.snapshots:
+            ref = by_time[snap.t].u_curr
+            assert snap.u.size == causal_node_count(grid, snap.t)
+            assert np.array_equal(snap.u, ref[: snap.u.size])
+        if form is Form.FREE:
+            assert res.outcome == "Survived" and len(res.snapshots) == 4
+            return
+        assert res.outcome == "BlewUp"
+        (t0, a0), (t1, a1) = hist[-2], hist[-1]
+        assert a0 < grid.u_threshold <= a1
+        assert res.T_num == t0 + min(max((grid.u_threshold - a0) / (a1 - a0), 0.0), 1.0) * grid.dt
+
+    def test_amplitude_is_max_abs(self):
+        # the free scheme is linear and commutes with negation exactly
+        grid = GridSpec(dr=0.1, r_max=14.0, t_max=4.0, cfl=0.7)
+        pos = run(Form.FREE, FREE_PARAMS, grid, g=gaussian).amplitude_history
+        neg = run(Form.FREE, FREE_PARAMS, grid, g=lambda r: -gaussian(r)).amplitude_history
+        assert pos[:, 1].max() > 0.1
+        assert np.array_equal(pos, neg)
+
+    def test_textbook_association_gives_same_T_num(self):
+        # per-step agreement to 1e-12 does not bound the drift over a run
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
+        res = run(Form.V, NU_PARAMS, grid, collect_history=False)
+        state = full_grid_levels(Form.V, NU_PARAMS, grid, 1)[0]
+        amp = np.max(np.abs(state.u_curr[: causal_node_count(grid, state.t)]))
+        while amp < grid.u_threshold:
+            prev_t, prev_amp = state.t, amp
+            state = textbook_step(state, grid, NU_PARAMS, Form.V)
+            amp = np.max(np.abs(state.u_curr[: causal_node_count(grid, state.t)]))
+        T_ref = prev_t + (grid.u_threshold - prev_amp) / (amp - prev_amp) * grid.dt
+        assert res.T_num == pytest.approx(T_ref, rel=1e-12)
+
+    def test_only_non_finite_values_stop_an_unbounded_threshold(self):
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7, u_threshold=math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(Form.U, BLOWUP_PARAMS, grid)
+            levels = full_grid_levels(Form.U, BLOWUP_PARAMS, grid, len(res.amplitude_history))
+        amps = res.amplitude_history[:, 1]
+        assert res.outcome == "BlewUp"
+        assert np.all(np.isfinite(amps[:-1])) and not np.isfinite(amps[-1])
+        assert amps[-2] > 1e100  # far past any finite threshold
+        assert res.T_num == res.t_end == res.amplitude_history[-1, 0]
+        assert res.T_num < grid.t_max
+        windows = [st.u_curr[: causal_node_count(grid, st.t)] for st in levels]
+        first_bad = next(k for k, w in enumerate(windows) if not np.all(np.isfinite(w)))
+        assert first_bad == len(levels) - 1
+        assert levels[first_bad].t == res.T_num
 
 
 class TestCausalRegion:
