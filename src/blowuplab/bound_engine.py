@@ -50,16 +50,15 @@ doubly exponentially, which yields the lifespan bound
 with C fully explicit in (p, mu, m, kbar, M, delta, delta_m).
 
 `free_lower_bound` and `verify_iteration_step` are quadrature oracles:
-they evaluate the underlying integrals numerically and check the claimed
-inequalities pointwise, independent of the closed-form path.
+they evaluate the underlying integrals numerically (scipy, imported on
+first call) and check the claimed inequalities pointwise, independent of
+the closed-form path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import dblquad, quad
 
 from .exponents import HypothesisError, ModelParams, fujita
 
@@ -266,6 +265,7 @@ def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:
         eps/(8 r^m) * integral_(r-t)^(r+t) s^m M (1+s)^(-(kbar+1)) ds
 
     at a Sigma_delta point (relative quadrature error < 1e-10)."""
+    from scipy.integrate import quad
     if not in_sigma(t, r, cfg):
         raise ValueError(f"(t, r) = ({t}, {r}) lies outside Sigma_delta")
     P = cfg.params
@@ -309,6 +309,7 @@ def verify_iteration_step(
     must lie in Sigma_delta with t > 1.  A ratio below 1 - slack beyond
     quadrature tolerance falsifies the implementation, not the estimate.
     """
+    from scipy.integrate import dblquad
     P = cfg.params
     p, mu, m = P.p, P.mu, P.m
     a, b = state.a, state.b

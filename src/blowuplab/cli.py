@@ -293,13 +293,18 @@ def _cmd_simulate(cfg: dict) -> int:
     payload: dict = {}
     files = []
     if form_key == "both":
-        report = solver.transform_check(params, grid, times=times or ())
-        for form in (solver.Form.U, solver.Form.V):
-            result = solver.run(form, params, grid, snapshot_times=times or (), collect_history=with_history)
-            name = f"snapshots_{form.value}.csv"
-            _write_snapshots(out / name, result.snapshots)
+        # one run per form serves the check and the CSVs (requested snapshots only)
+        check_times = solver.transform_times(grid, times)
+        runs = [
+            solver.run(form, params, grid, snapshot_times=check_times, collect_history=with_history)
+            for form in (solver.Form.U, solver.Form.V)
+        ]
+        report = solver.compare_forms(*runs)
+        for result in runs:
+            name = f"snapshots_{result.form.value}.csv"
+            _write_snapshots(out / name, result.snapshots if times else [])
             files.append(name)
-            payload[form.value] = _run_payload(result, with_history)
+            payload[result.form.value] = _run_payload(result, with_history)
         payload["transform_check"] = {
             "times": list(report.times),
             "discrepancies": list(report.discrepancies),

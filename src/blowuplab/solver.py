@@ -41,7 +41,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exponents import ModelParams
 
@@ -62,6 +61,8 @@ __all__ = [
     "causal_node_count",
     "discrete_energy",
     "exact_free_wave_n3",
+    "transform_times",
+    "compare_forms",
     "transform_check",
 ]
 
@@ -306,7 +307,7 @@ def run(
             pending.pop(0)
             snapshots.append(Snapshot(t=t, r=r[:nc].copy(), u=u[:nc].copy()))
 
-    if pending and pending[0] == 0.0:
+    while pending and pending[0] <= dt / 2.0:  # the same rule, at t = 0
         pending.pop(0)
         n0 = causal_node_count(grid, 0.0)
         snapshots.append(Snapshot(t=0.0, r=r[:n0].copy(), u=np.zeros(n0)))
@@ -366,6 +367,7 @@ def exact_free_wave_n3(
 
     with the limit eps t g(t) at r = 0, evaluated by quadrature.  Serves
     as the independent reference for convergence tests."""
+    from scipy.integrate import quad
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(radii)
     for idx, rv in enumerate(radii):
@@ -388,30 +390,33 @@ class TransformReport:
     u_scale: float
 
 
-def transform_check(
-    params: ModelParams, grid: GridSpec, times: Sequence[float] = ()
-) -> TransformReport:
-    """Run both forms on the same grid and report
-    max |u - (1+t)^(mu/2) v| / max |u| over the sampled snapshots."""
-    if not times:
-        times = tuple(grid.t_max * k / 4.0 for k in range(1, 5))
-    run_u = run(Form.U, params, grid, snapshot_times=times, collect_history=False)
-    run_v = run(Form.V, params, grid, snapshot_times=times, collect_history=False)
+def transform_times(grid: GridSpec, times: Sequence[float] = ()) -> tuple[float, ...]:
+    """Snapshot times of a transform check: `times`, or else t_max k/4, k = 1..4."""
+    return tuple(times) or tuple(grid.t_max * k / 4.0 for k in range(1, 5))
+
+
+def compare_forms(run_u: SolverRun, run_v: SolverRun) -> TransformReport:
+    """Report max |u - (1+t)^(mu/2) v| / max |u| over the snapshots that a
+    u-form and a v-form run of the same problem both took."""
     pairs = list(zip(run_u.snapshots, run_v.snapshots))
     if not pairs:
         raise ValueError("no common snapshots before blow-up; lower the snapshot times")
     u_scale = max(float(np.max(np.abs(su.u))) for su, _ in pairs)
-    ts, ds = [], []
+    ds = []
     for su, sv in pairs:
         if abs(su.t - sv.t) > 1e-12:
             raise AssertionError("snapshot times diverged between forms")
         nc = min(su.u.size, sv.u.size)
-        diff = float(np.max(np.abs(su.u[:nc] - (1.0 + su.t) ** (params.mu / 2.0) * sv.u[:nc])))
-        ts.append(su.t)
-        ds.append(diff)
+        ds.append(float(np.max(np.abs(su.u[:nc] - (1.0 + su.t) ** (run_u.params.mu / 2.0) * sv.u[:nc]))))
     return TransformReport(
-        times=tuple(ts),
+        times=tuple(su.t for su, _ in pairs),
         discrepancies=tuple(ds),
         max_rel_discrepancy=max(ds) / u_scale if u_scale > 0 else 0.0,
         u_scale=u_scale,
     )
+
+
+def transform_check(params: ModelParams, grid: GridSpec, times: Sequence[float] = ()) -> TransformReport:
+    """Run both forms on the same grid and compare them at `transform_times`."""
+    times = transform_times(grid, times)
+    return compare_forms(*(run(f, params, grid, snapshot_times=times, collect_history=False) for f in (Form.U, Form.V)))

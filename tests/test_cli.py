@@ -1,15 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blowuplab import solver
 from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound
 from blowuplab.cli import _build_parser, _merge, main
 from blowuplab.exponents import ModelParams
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(capsys, *args):
@@ -139,6 +145,30 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["transform_check"]["max_rel_discrepancy"] < 0.02
         assert set(payload["files"]) == {"snapshots_u.csv", "snapshots_v.csv"}
+
+    def test_both_forms_run_each_form_once(self, capsys, tmp_path, monkeypatch):
+        # the transform check reuses the two runs; with no requested times it
+        # compares the quarter times and the CSVs stay header-only
+        forms = []
+        real_run = solver.run
+
+        def counting_run(form, *args, **kwargs):
+            forms.append(form)
+            return real_run(form, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "run", counting_run)
+        out_dir = tmp_path / "simb"
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
+            "--eps", "0.05", "--form", "both", "--dr", "0.1", "--r-max", "8", "--t-max", "3",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        assert forms == [solver.Form.U, solver.Form.V]
+        assert json.loads(out)["transform_check"]["times"] == pytest.approx([0.75, 1.5, 2.25, 3.0], abs=0.04)
+        for name in ("snapshots_u.csv", "snapshots_v.csv"):
+            assert (out_dir / name).read_text(encoding="utf-8") == "t,r,u\n"
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [
@@ -305,3 +335,41 @@ class TestHelp:
         assert code == 0
         for key in ("--eps-values", "--refinement-levels", "--cfl", "--u-threshold", "--jobs"):
             assert key in out
+
+
+class TestImportCost:
+    def test_scipy_loaded_only_by_the_oracles(self, tmp_path):
+        # a fresh interpreter: the closed-form paths must not import scipy,
+        # the first oracle call must
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, math, sys
+            from blowuplab import cli
+
+            model = ["--n", "3", "--mu", "2", "--nu", "0"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [
+                    cli.main(["classify", *model, "--kbar", "1", "--p", "1.6"]),
+                    cli.main(["bound", *model, "--kbar", "0.5", "--p", "2"]),
+                    cli.main(["atlas", *model, "--kbar-count", "10", "--p-count", "10", "--out", sys.argv[1]]),
+                ]
+            before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            from blowuplab.bound_engine import BoundConfig, free_lower_bound
+            from blowuplab.exponents import ModelParams
+            value = free_lower_bound(2.0, 8.0, BoundConfig(params=ModelParams(n=3, mu=2.0, nu=0.0, p=2.0, kbar=0.5)))
+            print(json.dumps({"codes": codes, "before": before, "after": "scipy.integrate" in sys.modules,
+                              "value": value}))
+            """
+        )
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "atlas")],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        assert result["before"] == []
+        assert result["after"] is True
+        assert math.isfinite(result["value"]) and result["value"] > 0
+        assert (tmp_path / "atlas" / "atlas.csv").exists()

@@ -10,6 +10,7 @@ from blowuplab.solver import (
     GridSpec,
     SolverState,
     causal_node_count,
+    compare_forms,
     discrete_energy,
     exact_free_wave_n3,
     first_step,
@@ -19,6 +20,7 @@ from blowuplab.solver import (
     run,
     step,
     transform_check,
+    transform_times,
 )
 
 FREE_PARAMS = ModelParams(n=3, mu=0.0, nu=0.0, p=2.0, kbar=0.5, eps=1.0)
@@ -141,6 +143,17 @@ class TestRun:
         grid = GridSpec(dr=0.1, r_max=8.0, t_max=3.0, cfl=0.7)
         with pytest.raises(ConfigurationError):
             run(Form.FREE, FREE_PARAMS, grid, snapshot_times=[5.0])
+
+    def test_snapshots_near_zero_take_the_nearest_level(self):
+        # a request up to dt/2 is nearest to t = 0 (ties go to the earlier
+        # level), a later one to t = dt
+        grid = GridSpec(dr=0.1, r_max=6.0, t_max=1.0, cfl=0.7)
+        dt = grid.dt
+        res = run(Form.FREE, FREE_PARAMS, grid, snapshot_times=[0.6 * dt, 0.5 * dt, 0.2 * dt, 0.0])
+        assert [s.t for s in res.snapshots] == [0.0, 0.0, 0.0, dt]
+        for snap in res.snapshots[:3]:
+            assert snap.u.size == grid.n_nodes and not snap.u.any()
+        assert res.snapshots[3].u.any()
 
     def test_finite_propagation(self):
         # perturb the data inside r <= R0; beyond the discrete influence
@@ -358,6 +371,21 @@ class TestTransformCheck:
         assert discs[0] < 0.02
         ratio = discs[0] / discs[1]
         assert 3.0 <= ratio <= 5.5
+
+    def test_compare_forms_is_the_check_on_given_runs(self):
+        params = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, eps=0.05)
+        grid = GridSpec(dr=0.1, r_max=12.0, t_max=4.0, cfl=0.7)
+        assert transform_times(grid) == (1.0, 2.0, 3.0, 4.0)
+        assert transform_times(grid, [2.5]) == (2.5,)
+        runs = [run(form, params, grid, snapshot_times=transform_times(grid)) for form in (Form.U, Form.V)]
+        assert compare_forms(*runs) == transform_check(params, grid)
+
+    def test_no_common_snapshot_rejected(self):
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
+        runs = [run(form, BLOWUP_PARAMS, grid, snapshot_times=[9.9]) for form in (Form.U, Form.V)]
+        assert runs[0].blew_up and not runs[0].snapshots
+        with pytest.raises(ValueError, match="no common snapshots"):
+            compare_forms(*runs)
 
     def test_initial_agreement(self):
         # both forms share u(0) = v(0) = 0 and u_t(0) = v_t(0) = eps g
