@@ -299,7 +299,8 @@ def _cmd_simulate(cfg: dict) -> int:
             solver.run(form, params, grid, snapshot_times=check_times, collect_history=with_history)
             for form in (solver.Form.U, solver.Form.V)
         ]
-        report = solver.compare_forms(*runs)
+        cut_off = not times and not all(result.snapshots for result in runs)  # default times past a blow-up
+        report = solver.TransformReport((), (), None, 0.0) if cut_off else solver.compare_forms(*runs)
         for result in runs:
             name = f"snapshots_{result.form.value}.csv"
             _write_snapshots(out / name, result.snapshots if times else [])

@@ -1,12 +1,15 @@
 """Explicit radial finite-difference solver with blow-up detection.
 
 Every form is discretized on the uniform grid r_i = i dr, i = 0..N, by
-one three-level leapfrog update with per-form coefficients (beta, a, c),
+central differences for u_tt - L u = a |u|^p + c u/(1+t)^2, L u = u_rr +
+(n-1)/r u_r, as one three-level leapfrog stencil with per-form
+coefficients (beta, a, c) and per-node weights built once per run:
 
-    (1+beta) u^(j+1) = 2 u^j - (1-beta) u^(j-1)
-                       + dt^2 (L u^j + a |u^j|^p + c u^j/(1+t_j)^2),
+    (1+beta) u_i^(j+1) = D u_i + A_i u_(i+1) + B_i u_(i-1)
+                         - (1-beta) u_i^(j-1) + dt^2 a |u_i|^p,
 
-where L u = u_rr + (n-1)/r u_r by central differences:
+A_i, B_i = lambda^2 (1 +- h_i), h_i = (n-1) dr/(2 r_i), lambda = dt/dr =
+cfl, and D = 2 - 2 lambda^2 + dt^2 c/(1+t_j)^2:
 
 * u-form, u_tt - L u = (1+t)^(-mu(p-1)/2) |u|^p + c u/(1+t)^2 with
   c = (mu/2)(mu/2-1) - nu: beta = 0, a = (1+t)^(-mu(p-1)/2);
@@ -20,9 +23,10 @@ u = (1+t)^(mu/2) v; `transform_check` measures the discrete residue of
 that identity.
 
 Origin: by radial symmetry u_r(t, 0) = 0, so L at r = 0 is its limit
-n u_rr, discretized with the even extension u_(-1) = u_1.  That stencil
-caps the stable Courant ratio (`max_stable_cfl`), which `run` checks
-before stepping.
+n u_rr, discretized with the even extension u_(-1) = u_1: h_0 = 2n-1
+gives A_0 = 2n lambda^2, and B_0 = -2(n-1) lambda^2 multiplies u_0, so
+D_0 = D + B_0.  That stencil caps the stable Courant ratio
+(`max_stable_cfl`), which `run` checks before stepping.
 
 Outer boundary: no absorbing condition, so values are correct only
 inside the shrinking causal region r <= r_max - t/cfl (the discrete
@@ -127,19 +131,25 @@ def initial_data(r, params: ModelParams):
     return params.M * (1.0 + np.asarray(r, dtype=float)) ** (-(params.kbar + 1.0))
 
 
+def _coefficients(form: Form, params: ModelParams, t: float) -> tuple[float, float, float]:
+    """(a, c, b) of u_tt - L u + b u_t = a |u|^p + c u/(1+t)^2 for one form at time t."""
+    mu, p, nu = params.mu, params.p, params.nu
+    if form is Form.U:
+        return (1.0 + t) ** (-mu * (p - 1.0) / 2.0), 0.25 * mu * (mu - 2.0) - nu, 0.0
+    if form is Form.V:
+        return 1.0, -nu, mu / (1.0 + t)
+    return 0.0, 0.0, 0.0
+
+
 def rhs(form: Form, t: float, u, params: ModelParams):
     """Source term a|u|^p + c u/(1+t)^2 of the update: the full right-hand
     side of the u-form, |v|^p - nu v/(1+t)^2 for the v-form (damping lives
     in the time stencil), zero for the free form."""
     u = np.asarray(u, dtype=float)
-    if form is Form.FREE:
+    a, c, _ = _coefficients(form, params, t)
+    if not a:
         return np.zeros_like(u)
-    src = np.abs(u)
-    src **= params.p
-    mu, c = params.mu, -params.nu
-    if form is Form.U:
-        src *= (1.0 + t) ** (-mu * (params.p - 1.0) / 2.0)
-        c = 0.25 * mu * (mu - 2.0) - params.nu
+    src = a * np.abs(u) ** params.p
     if c:
         src += c * u / (1.0 + t) ** 2
     return src
@@ -157,36 +167,35 @@ def max_stable_cfl(n: int) -> float:
 
 
 class _Leapfrog:
-    """The leapfrog update of one form on one grid, set up once per run."""
+    """The leapfrog update of one form on one grid, weights built once per run."""
 
     def __init__(self, form: Form, params: ModelParams, grid: GridSpec) -> None:
-        self.form, self.params, self.dt = form, params, grid.dt
-        self.dr2, self.two_dr = grid.dr**2, 2.0 * grid.dr
-        self.w = (params.n - 1.0) / grid.radii()[1:-1]
-        self.s, self.x, self.y = np.empty((3, grid.n_nodes))
+        self.form, self.params, self.dt, self.dt2 = form, params, grid.dt, grid.dt**2
+        lam2, n = grid.cfl**2, params.n
+        h = np.concatenate(([2.0 * n - 1.0], (n - 1.0) / (2.0 * np.arange(1, grid.n_nodes - 1))))  # h_0: origin
+        self.A, self.B = lam2 * (1.0 + h), lam2 * (1.0 - h)
+        self.D, self.x = 2.0 - 2.0 * lam2, np.empty(grid.n_nodes)
 
     def __call__(self, u: np.ndarray, up: np.ndarray, t: float, m: int) -> None:
         """Overwrite up[:m] (level j-1) with level j+1 from level j in u at
-        time t, reading u[:m+1]; s collects L u plus the source, y = 2u.
-        Operations follow the textbook expressions' order, whatever m is."""
-        s, x, y, up = self.s[:m], self.x[:m], self.y[:m], up[:m]
-        beta = self.params.mu * self.dt / (2.0 * (1.0 + t)) if self.form is Form.V else 0.0
-        np.multiply(u[:m], 2.0, out=y)
-        np.subtract(u[2 : m + 1], y[1:], out=s[1:])
-        np.add(s[1:], u[: m - 1], out=s[1:])
-        np.divide(s[1:], self.dr2, out=s[1:])
-        np.subtract(u[2 : m + 1], u[: m - 1], out=x[1:])
-        np.multiply(self.w[: m - 1], x[1:], out=x[1:])
-        np.divide(x[1:], self.two_dr, out=x[1:])
-        np.add(s[1:], x[1:], out=s[1:])
-        s[0] = 2.0 * self.params.n * (u[1] - u[0]) / self.dr2
+        time t, reading u[:m+1]; x is the scratch for each term."""
+        x, up = self.x[:m], up[:m]
+        a, c, b = _coefficients(self.form, self.params, t)
+        beta = 0.5 * b * self.dt
+        np.multiply(u[:m], self.D + self.dt2 * c / (1.0 + t) ** 2, out=x)
         if beta:
             np.multiply(up, 1.0 - beta, out=up)
-        np.subtract(y, up, out=up)
-        if self.form is not Form.FREE:
-            np.add(s, rhs(self.form, t, u[:m], self.params), out=s)
-        np.multiply(s, self.dt**2, out=s)
-        np.add(up, s, out=up)
+        np.subtract(x, up, out=up)
+        np.multiply(self.A[:m], u[1 : m + 1], out=x)
+        np.add(up, x, out=up)
+        np.multiply(self.B[1:m], u[: m - 1], out=x[1:])
+        x[0] = self.B[0] * u[0]
+        np.add(up, x, out=up)
+        if a:
+            np.abs(u[:m], out=x)
+            np.power(x, self.params.p, out=x)
+            np.multiply(x, self.dt2 * a, out=x)
+            np.add(up, x, out=up)
         if beta:
             np.divide(up, 1.0 + beta, out=up)
 
@@ -386,7 +395,7 @@ class TransformReport:
 
     times: tuple[float, ...]
     discrepancies: tuple[float, ...]
-    max_rel_discrepancy: float
+    max_rel_discrepancy: float | None  # None: no snapshot to compare
     u_scale: float
 
 

@@ -170,6 +170,31 @@ class TestSimulate:
         for name in ("snapshots_u.csv", "snapshots_v.csv"):
             assert (out_dir / name).read_text(encoding="utf-8") == "t,r,u\n"
 
+    # the u-form blows up at T_num ~ 4.73, before the first default check time t_max/4 = 5
+    EARLY_BLOW_UP = [
+        "simulate", "--n", "3", "--mu", "3", "--nu", "0.5", "--p", "1.5", "--kbar", "0.2",
+        "--eps", "30", "--form", "both", "--dr", "0.1", "--r-max", "40", "--t-max", "20",
+    ]
+
+    def test_both_forms_early_blow_up_reports_an_empty_check(self, capsys, tmp_path):
+        out_dir = tmp_path / "simb"
+        code, out, _ = run_cli(capsys, *self.EARLY_BLOW_UP, "--out", str(out_dir))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["transform_check"] == {"times": [], "discrepancies": [], "max_rel_discrepancy": None}
+        assert payload["u"]["outcome"] == "BlewUp" and payload["u"]["T_num"] < 5.0
+        assert payload["v"]["outcome"] == "BlewUp"
+        assert json.loads((out_dir / "run_summary.json").read_text(encoding="utf-8")) == payload
+        for name in ("snapshots_u.csv", "snapshots_v.csv"):
+            assert (out_dir / name).read_text(encoding="utf-8") == "t,r,u\n"
+
+    def test_both_forms_unreached_requested_times_rejected(self, capsys, tmp_path):
+        out_dir = tmp_path / "simb"
+        code, _, err = run_cli(capsys, *self.EARLY_BLOW_UP, "--snapshot-times", "6", "--out", str(out_dir))
+        assert code == 2
+        assert "no common snapshots" in err
+        assert not (out_dir / "run_summary.json").exists()
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [
             "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
