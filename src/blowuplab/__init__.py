@@ -55,7 +55,6 @@ from .solver import (
     exact_free_wave_n3,
     initial_data,
     max_stable_cfl,
-    rhs,
     run,
     step,
     transform_check,

@@ -292,7 +292,6 @@ def verify_iteration_step(
     state: IterationState,
     samples: list[tuple[float, float]],
     cfg: BoundConfig,
-    epsrel: float = 1e-8,
     slack: float = 1e-6,
 ) -> IterationStepReport:
     """Check one rung of the ladder against 2-D quadrature.
@@ -306,8 +305,9 @@ def verify_iteration_step(
     and requires the result to dominate the next envelope
     C' t^a' / (r^m (r+t)^b').  Ratios are computed with C scaled out, so
     the check is unaffected by the doubly exponential constant.  Samples
-    must lie in Sigma_delta with t > 1.  A ratio below 1 - slack beyond
-    quadrature tolerance falsifies the implementation, not the estimate.
+    must lie in Sigma_delta with t > 1.  The quadrature runs to a fixed
+    relative tolerance of 1e-8.  A ratio below 1 - slack beyond that
+    tolerance falsifies the implementation, not the estimate.
     """
     from scipy.integrate import dblquad
     P = cfg.params
@@ -341,7 +341,7 @@ def verify_iteration_step(
             lambda tau: r - t + tau,
             lambda tau: r + t - tau,
             epsabs=0.0,
-            epsrel=epsrel,
+            epsrel=1e-8,
         )
         ratios.append(integral / 8.0 * const_ratio * (r + t) ** b_star / t**a_star)
 

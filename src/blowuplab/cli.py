@@ -42,8 +42,22 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text.strip()!r}")
 
 
+def _choice(*words: str):
+    """Type of an enumerated option: one of `words` in any letter case,
+    returned in lower case."""
+
+    def parse(text: str) -> str:
+        word = text.strip().lower()
+        if word not in words:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(words)}, got {text.strip()!r}")
+        return word
+
+    return parse
+
+
 # option registry: dest -> (type, default, help); argparse defaults stay None
-# so config-file values can slot under explicit flags.  REQUIRED marks
+# so config-file values can slot under explicit flags.  A default that a
+# dataclass field also has is read from the class.  REQUIRED marks
 # options that must come from a flag or the config file; OPTIONAL marks
 # options whose absence is meaningful.
 
@@ -56,21 +70,21 @@ _MODEL_OPTS = {
     "nu": (float, 0.0, "mass coefficient of nu/(1+t)^2 v"),
     "p": (float, REQUIRED, "nonlinearity power (> 1); required"),
     "kbar": (float, REQUIRED, "data decay parameter (> -1); required"),
-    "M": (float, 1.0, "data amplitude (> 0)"),
-    "eps": (float, 1.0, "data size (> 0)"),
+    "M": (float, exponents.ModelParams.M, "data amplitude (> 0)"),
+    "eps": (float, exponents.ModelParams.eps, "data size (> 0)"),
 }
 
 _BOUND_OPTS = {
-    "delta": (float, 1.0, "blow-up set margin delta (> 0)"),
-    "delta_m": (float, 1.0, "free-wave floor constant delta_m (> 0, user-supplied; all bounds conditional on it)"),
+    "delta": (float, bound_engine.BoundConfig.delta, "blow-up set margin delta (> 0)"),
+    "delta_m": (float, bound_engine.BoundConfig.delta_m, "free-wave floor constant delta_m (> 0, user-supplied; all bounds conditional on it)"),
 }
 
 _GRID_OPTS = {
     "dr": (float, 0.05, "radial step (length units)"),
     "r_max": (float, REQUIRED, "outer radius; must exceed t_max/cfl (causal closure); required"),
     "t_max": (float, REQUIRED, "maximal simulated time; required"),
-    "cfl": (float, 0.7, "Courant ratio dt/dr in (0, 1]; validated against the n-dependent stability limit"),
-    "u_threshold": (float, 1e8, "amplitude threshold declaring blow-up"),
+    "cfl": (float, solver.GridSpec.cfl, "Courant ratio dt/dr in (0, 1]; validated against the n-dependent stability limit"),
+    "u_threshold": (float, solver.GridSpec.u_threshold, "amplitude threshold declaring blow-up"),
 }
 
 
@@ -108,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_opts = {
         **_MODEL_OPTS,
         **_GRID_OPTS,
-        "form": (str, "u", "solution form: u, v, free, or both (runs u and v plus transform check)"),
+        "form": (_choice("u", "v", "free", "both"), "u", "solution form: u, v, free, or both (runs u and v plus transform check)"),
         "snapshot_times": (_float_list, (), "comma-separated times for CSV profile snapshots"),
         "history": (bool, False, "include the full amplitude history in the summary JSON"),
     }
@@ -119,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **_GRID_OPTS,
         "eps_values": (_float_list, REQUIRED, "comma-separated eps grid, strictly increasing, >= 4 values; required"),
         "refinement_levels": (int, 2, "mesh refinement levels per eps (T_num from the finest)"),
-        "form": (str, "u", "solution form for the runs: u or v"),
+        "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
         "jobs": (int, OPTIONAL, f"worker pool size [default: ${ENV_JOBS} or cpu count]"),
         "slope_tol": (float, 0.25, "relative tolerance on slope vs -alpha for the pass flag"),
         "r2_min": (float, 0.95, "minimal r^2 for the pass flag"),
@@ -139,8 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "p_min": (float, 1.05, "lower end of the p grid (> 1)"),
         "p_max": (float, 3.5, "upper end of the p grid"),
         "p_count": (int, 100, "number of p grid nodes"),
-        "curve_samples": (int, 512, "samples per boundary curve"),
-        "format": (str, "both", "artifacts to write: csv, svg, or both"),
+        "format": (_choice("csv", "svg", "both"), "both", "artifacts to write: csv, svg, or both"),
     }
     new_cmd("atlas", "region diagram over a (kbar, p) grid", atlas_opts, _cmd_atlas)
 
@@ -149,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **_GRID_OPTS,
         "levels": (int, 3, "number of refinement levels (>= 3)"),
         "compare_time": (float, OPTIONAL, "profile comparison time [default: t_max / 2]"),
-        "form": (str, "u", "solution form: u, v, or free"),
+        "form": (_choice("u", "v", "free"), "u", "solution form: u, v, or free"),
     }
     new_cmd("converge", "mesh refinement study (observed order)", conv_opts, _cmd_converge)
 
@@ -209,8 +222,12 @@ def _grid(cfg: dict) -> solver.GridSpec:
     )
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json(payload), end="")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -287,12 +304,11 @@ def _cmd_simulate(cfg: dict) -> int:
     params = _params(cfg)
     grid = _grid(cfg)
     out = _out_dir(cfg)
-    form_key = cfg["form"].lower()
     times = cfg["snapshot_times"]
     with_history = bool(cfg["history"])
     payload: dict = {}
     files = []
-    if form_key == "both":
+    if cfg["form"] == "both":
         # one run per form serves the check and the CSVs (requested snapshots only)
         check_times = solver.transform_times(grid, times)
         runs = [
@@ -300,7 +316,7 @@ def _cmd_simulate(cfg: dict) -> int:
             for form in (solver.Form.U, solver.Form.V)
         ]
         cut_off = not times and not all(result.snapshots for result in runs)  # default times past a blow-up
-        report = solver.TransformReport((), (), None, 0.0) if cut_off else solver.compare_forms(*runs)
+        report = solver.TransformReport((), (), None) if cut_off else solver.compare_forms(*runs)
         for result in runs:
             name = f"snapshots_{result.form.value}.csv"
             _write_snapshots(out / name, result.snapshots if times else [])
@@ -312,34 +328,26 @@ def _cmd_simulate(cfg: dict) -> int:
             "max_rel_discrepancy": report.max_rel_discrepancy,
         }
     else:
-        try:
-            form = solver.Form(form_key)
-        except ValueError:
-            raise ValueError(f"unknown form {cfg['form']!r}; expected u, v, free, or both") from None
+        form = solver.Form(cfg["form"])
         result = solver.run(form, params, grid, snapshot_times=times or (), collect_history=True)
         name = f"snapshots_{form.value}.csv"
         _write_snapshots(out / name, result.snapshots)
         files.append(name)
         payload = _run_payload(result, with_history)
     payload["files"] = files
-    (out / "run_summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "run_summary.json").write_text(_json(payload), encoding="utf-8")
     _emit(payload)
     return 0
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    base = exponents.ModelParams(
-        n=cfg["n"], mu=cfg["mu"], nu=cfg["nu"], p=cfg["p"], kbar=cfg["kbar"], M=cfg["M"], eps=cfg["eps_values"][0]
-    )
-    form_key = cfg["form"].lower()
-    if form_key not in ("u", "v"):
-        raise ValueError(f"sweep form must be u or v, got {cfg['form']!r}")
+    base = _params({**cfg, "eps": cfg["eps_values"][0]})
     spec = experiments.SweepSpec(
         params_base=base,
         eps_values=cfg["eps_values"],
         grid=_grid(cfg),
         refinement_levels=cfg["refinement_levels"],
-        form=solver.Form(form_key),
+        form=solver.Form(cfg["form"]),
     )
     result = experiments.sweep(spec, jobs=_jobs(cfg))
     out = _out_dir(cfg)
@@ -378,24 +386,19 @@ def _cmd_sweep(cfg: dict) -> int:
             "all_ok": report.all_ok,
             "note": report.note,
         }
-        (out / "bound_check.json").write_text(
-            json.dumps(summary["bound_check"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        (out / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")
+    (out / "sweep_summary.json").write_text(_json(summary), encoding="utf-8")
     _emit(summary)
     return 0
 
 
 def _cmd_atlas(cfg: dict) -> int:
-    if cfg["format"] not in ("csv", "svg", "both"):
-        raise ValueError(f"format must be csv, svg, or both, got {cfg['format']!r}")
     result = exponents.atlas(
         n=cfg["n"],
         mu=cfg["mu"],
         nu=cfg["nu"],
         k_grid=(cfg["kbar_min"], cfg["kbar_max"], cfg["kbar_count"]),
         p_grid=(cfg["p_min"], cfg["p_max"], cfg["p_count"]),
-        curve_samples=cfg["curve_samples"],
     )
     out = _out_dir(cfg)
     files = []
@@ -420,12 +423,8 @@ def _cmd_atlas(cfg: dict) -> int:
 
 
 def _cmd_converge(cfg: dict) -> int:
-    try:
-        form = solver.Form(cfg["form"].lower())
-    except ValueError:
-        raise ValueError(f"unknown form {cfg['form']!r}; expected u, v, or free") from None
     report = experiments.convergence_study(
-        _params(cfg), _grid(cfg), levels=cfg["levels"], form=form, compare_time=cfg.get("compare_time")
+        _params(cfg), _grid(cfg), levels=cfg["levels"], form=solver.Form(cfg["form"]), compare_time=cfg.get("compare_time")
     )
     out = _out_dir(cfg)
     payload = {
@@ -438,7 +437,7 @@ def _cmd_converge(cfg: dict) -> int:
         "T_agreement": report.T_agreement,
         "passed": report.passed,
     }
-    (out / "convergence.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "convergence.json").write_text(_json(payload), encoding="utf-8")
     _emit(payload)
     return 0
 

@@ -91,20 +91,20 @@ _FILL = {
 }
 
 
-def write_atlas_svg(result: AtlasResult, target, width: int = 720, height: int = 540) -> None:
-    """Write the region diagram as a standalone SVG file (no timestamps:
-    repeated emission is byte-identical)."""
+def write_atlas_svg(result: AtlasResult, target) -> None:
+    """Write the region diagram as a standalone 720 x 540 SVG file (no
+    timestamps: repeated emission is byte-identical)."""
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
-        fh.write(_render(result, width, height))
+        fh.write(_render(result))
     finally:
         if own:
             fh.close()
 
 
-def _render(res: AtlasResult, W: int, H: int) -> str:
-    ML, MR, MT, MB = 84, 26, 28, 58
+def _render(res: AtlasResult) -> str:
+    W, H, ML, MR, MT, MB = 720, 540, 84, 26, 28, 58
     pw, ph = W - ML - MR, H - MT - MB
     ks, ps = res.kbar_values, res.p_values
     k_lo, k_hi = float(ks.min()), float(ks.max())

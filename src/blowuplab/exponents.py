@@ -357,6 +357,7 @@ def classify(params: ModelParams) -> RegionVerdict:
 
 
 GridLike = Union[Sequence[float], tuple[float, float, int], np.ndarray]
+_CURVE_SAMPLES = 512  # points per boundary curve of an atlas
 
 
 def _as_grid(spec: GridLike, name: str) -> np.ndarray:
@@ -423,21 +424,11 @@ class AtlasResult:
         return buf.getvalue()
 
 
-def atlas(
-    n: int,
-    mu: float,
-    nu: float,
-    k_grid: GridLike,
-    p_grid: GridLike,
-    M: float = 1.0,
-    eps: float = 1.0,
-    curve_samples: int = 512,
-) -> AtlasResult:
-    """Classify every node of a (kbar, p) grid and attach boundary curves.
+def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> AtlasResult:
+    """Classify every node of a (kbar, p) grid and attach the boundary
+    curves, each sampled at a fixed 512 points.
 
-    Grid nodes must satisfy kbar > -1 and p > 1 (parameter domain).  M and
-    eps never affect verdicts; they are accepted only to complete the
-    parameter tuples.
+    Grid nodes must satisfy kbar > -1 and p > 1 (parameter domain).
     """
     kbar_values = _as_grid(k_grid, "k_grid")
     p_values = _as_grid(p_grid, "p_grid")
@@ -445,14 +436,12 @@ def atlas(
         raise ValueError("k_grid: all kbar values must be > -1")
     if not np.all(p_values > 1):
         raise ValueError("p_grid: all p values must be > 1")
-    if curve_samples < 2:
-        raise ValueError("curve_samples must be >= 2")
 
     verdicts = np.empty((kbar_values.size, p_values.size), dtype=object)
     alphas = np.full((kbar_values.size, p_values.size), math.nan)
     for i, k in enumerate(kbar_values):
         for j, p in enumerate(p_values):
-            v = classify(ModelParams(n=n, mu=mu, nu=nu, p=float(p), kbar=float(k), M=M, eps=eps))
+            v = classify(ModelParams(n=n, mu=mu, nu=nu, p=float(p), kbar=float(k)))
             verdicts[i, j] = v.kind.value
             if v.lifespan_exponent is not None:
                 alphas[i, j] = v.lifespan_exponent
@@ -465,11 +454,11 @@ def atlas(
     k_hi = float(kbar_values.max())
     curve_lo = max(k_lo, -mu / 2.0 + 1e-9 * max(1.0, abs(mu / 2.0)))
     if curve_lo < k_hi:
-        ks = np.linspace(curve_lo, k_hi, curve_samples)
+        ks = np.linspace(curve_lo, k_hi, _CURVE_SAMPLES)
         fujita_curve = np.column_stack([ks, 1.0 + 2.0 / (ks + mu / 2.0)])
     else:
         fujita_curve = np.empty((0, 2))
-    ks = np.linspace(k_lo, k_hi, curve_samples)
+    ks = np.linspace(k_lo, k_hi, _CURVE_SAMPLES)
     existence_line = np.column_stack([ks, (2.0 * ks + mu + 2.0) / (n + mu - 1.0)])
 
     return AtlasResult(

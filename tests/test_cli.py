@@ -217,6 +217,15 @@ class TestSimulate:
         assert code == 2
         assert "form" in err
 
+    def test_infinite_radius_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--mu", "2", "--p", "1.8", "--kbar", "0.5",
+            "--r-max", "inf", "--t-max", "1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "r_max" in err
+
 
 class TestSweepCommand:
     def test_csv_cardinality_and_summary(self, capsys, tmp_path):
@@ -313,6 +322,14 @@ class TestConfigFile:
         assert code == 2
         assert f"{cfg}:9" in err and "check_bound" in err and "ture" in err
         assert not (tmp_path / "sw").exists()
+
+    def test_unknown_choice_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=3\nmu=2\nkbar=0.5\np=1.8\nr_max=8\nt_max=3\nform = w\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"))
+        assert code == 2
+        assert f"{cfg}:7: bad value for 'form'" in err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestCommittedConfigs:

@@ -17,7 +17,6 @@ from blowuplab.solver import (
     first_step,
     initial_data,
     max_stable_cfl,
-    rhs,
     run,
     step,
     transform_check,
@@ -46,33 +45,6 @@ class TestInitialData:
         r = np.linspace(0.0, 20.0, 50)
         g = initial_data(r, params)
         assert np.all(np.diff(g) < 0)
-
-
-class TestRhs:
-    def test_potential_vanishes_at_matching_mass(self):
-        # nu = (mu/2)(mu/2-1) leaves only the decaying-coefficient power term
-        params = ModelParams(n=3, mu=4.0, nu=2.0, p=2.0, kbar=0.5)
-        u = np.array([0.5, -1.5, 2.0])
-        t = 1.7
-        expected = (1.0 + t) ** (-params.mu * (params.p - 1.0) / 2.0) * np.abs(u) ** params.p
-        np.testing.assert_allclose(rhs(Form.U, t, u, params), expected, rtol=1e-14)
-
-    def test_zero_state(self):
-        params = ModelParams(n=3, mu=2.0, nu=0.0, p=1.7, kbar=0.5)
-        for form in Form:
-            assert np.all(rhs(form, 2.0, np.zeros(4), params) == 0.0)
-
-    def test_undamped_reduction(self):
-        params = ModelParams(n=3, mu=0.0, nu=0.0, p=2.5, kbar=0.5)
-        u = np.array([0.3, -0.7])
-        np.testing.assert_allclose(rhs(Form.U, 3.0, u, params), np.abs(u) ** 2.5, rtol=1e-14)
-
-    def test_v_form_power_and_mass(self):
-        # the damping lives in the time stencil, the mass in the source
-        params = ModelParams(n=3, mu=2.0, nu=1.0, p=2.0, kbar=0.5)
-        u = np.array([0.3, -0.7])
-        expected = np.abs(u) ** 2 - 1.0 * u / 4.0**2
-        np.testing.assert_allclose(rhs(Form.V, 3.0, u, params), expected, rtol=1e-14)
 
 
 class TestStability:
@@ -268,6 +240,7 @@ class TestKernelEquivalence:
         pytest.param(Form.FREE, BLOWUP_PARAMS, id="free"),
         pytest.param(Form.U, NU_PARAMS, id="u-mass"),  # c = (mu/2)(mu/2-1) - nu = 0.25
         pytest.param(Form.V, NU_PARAMS, id="v-mass"),  # c = -nu
+        pytest.param(Form.U, replace(BLOWUP_PARAMS, mu=0.0), id="u-undamped"),  # a = 1
         # the weights depend on n
         *(pytest.param(Form.U, replace(BLOWUP_PARAMS, n=n), id=f"u-n{n}") for n in (2, 4, 5)),
     ]
@@ -410,6 +383,10 @@ class TestGridSpec:
             GridSpec(dr=0.1, r_max=1.0, t_max=1.0, cfl=1.5)
         with pytest.raises(ValueError):
             GridSpec(dr=0.1, r_max=1.0, t_max=1.0, u_threshold=0.0)
+        for name in ("dr", "r_max", "t_max"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    GridSpec(**{"dr": 0.1, "r_max": 1.0, "t_max": 1.0, name: bad})
 
     def test_refined(self):
         g = GridSpec(dr=0.1, r_max=5.0, t_max=2.0, cfl=0.7)
