@@ -6,11 +6,13 @@ p = p_F(kbar + mu/2) and the straight existence boundary drawn on top,
 and the intersection (kbar0, p_S(n + mu)) annotated.  When the shifted
 dimension n + mu is an integer the annotation carries the exact
 quadratic-surd value, e.g. (3+v17)/4 rendered with a real radical sign.
+The file is streamed one kbar column at a time, never held whole.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -97,13 +99,15 @@ def write_atlas_svg(result: AtlasResult, target) -> None:
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
-        fh.write(_render(result))
+        for chunk in _render(result):
+            fh.write(chunk)
     finally:
         if own:
             fh.close()
 
 
-def _render(res: AtlasResult) -> str:
+def _render(res: AtlasResult) -> Iterator[str]:
+    """Yield the SVG: the header, one chunk per kbar column, then the rest."""
     W, H, ML, MR, MT, MB = 720, 540, 84, 26, 28, 58
     pw, ph = W - ML - MR, H - MT - MB
     ks, ps = res.kbar_values, res.p_values
@@ -122,23 +126,22 @@ def _render(res: AtlasResult) -> str:
         f'viewBox="0 0 {W} {H}">'
     )
     out.append(f'<rect x="0" y="0" width="{W}" height="{H}" fill="white"/>')
-
-    # verdict cells (edges at midpoints between neighbouring grid values)
-    k_edges = _edges(ks)
-    p_edges = _edges(ps)
     out.append('<g opacity="0.55">')
-    for i in range(ks.size):
-        x0, x1 = X(k_edges[i]), X(k_edges[i + 1])
-        for j in range(ps.size):
-            fill = _FILL.get(res.verdicts[i, j])
-            if fill is None:
-                continue
-            y1, y0 = Y(p_edges[j]), Y(p_edges[j + 1])
-            out.append(
-                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-                f'height="{y1 - y0:.2f}" fill="{fill}"/>'
-            )
-    out.append("</g>")
+    yield "\n".join(out) + "\n"
+
+    # verdict cells (edges at midpoints between neighbouring grid values),
+    # built from the strings of their row (y, height) and column (x, width)
+    xs, ys = [X(k) for k in _edges(ks)], [Y(p) for p in _edges(ps)]
+    rows = [(f"{y0:.2f}", f"{y1 - y0:.2f}") for y1, y0 in zip(ys, ys[1:])]
+    for x0, x1, column in zip(xs, xs[1:], res.verdicts):
+        x, w = f"{x0:.2f}", f"{x1 - x0:.2f}"
+        yield "".join(
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>\n'
+            for (y, h), fill in zip(rows, map(_FILL.get, column))
+            if fill is not None
+        )
+
+    out = ["</g>"]
 
     # boundary curves
     out.append(_polyline(res.fujita_curve, X, Y, p_lo, p_hi, "#15257d", 2.0))
@@ -202,7 +205,7 @@ def _render(res: AtlasResult) -> str:
         )
         ly += 18
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield "\n".join(out) + "\n"
 
 
 def _edges(values: np.ndarray) -> np.ndarray:

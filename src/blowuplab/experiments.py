@@ -259,6 +259,8 @@ def convergence_study(
         raise ValueError(f"need at least 3 levels, got {levels}")
     dt0 = grid.dt
     t_c = 0.5 * grid.t_max if compare_time is None else compare_time
+    if not math.isfinite(t_c):
+        raise ValueError(f"compare_time must be finite, got {t_c}")
     n0 = max(1, int(round(t_c / dt0)))
     t_c = n0 * dt0
     if t_c > grid.t_max:

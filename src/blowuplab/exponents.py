@@ -409,11 +409,13 @@ class AtlasResult:
         fh = open(target, "w", encoding="utf-8", newline="") if own else target
         try:
             fh.write("kbar,p,verdict,alpha\n")
-            for i, k in enumerate(self.kbar_values):
-                for j, p in enumerate(self.p_values):
-                    a = self.alphas[i, j]
-                    alpha_field = f"{a:.12g}" if math.isfinite(a) else ""
-                    fh.write(f"{k:.12g},{p:.12g},{self.verdicts[i, j]},{alpha_field}\n")
+            ps = [f"{p:.12g}" for p in self.p_values]
+            for k, verdicts, alphas in zip(self.kbar_values, self.verdicts, self.alphas):
+                k = f"{k:.12g}"
+                fh.write("".join(
+                    f"{k},{p},{v},{a:.12g}\n" if math.isfinite(a) else f"{k},{p},{v},\n"
+                    for p, v, a in zip(ps, verdicts, alphas.tolist())
+                ))
         finally:
             if own:
                 fh.close()

@@ -287,7 +287,7 @@ def run(
 
     pending = sorted(float(s) for s in snapshot_times)
     for s in pending:
-        if s < 0 or s > grid.t_max:
+        if not 0 <= s <= grid.t_max:  # also rejects NaN
             raise ConfigurationError(f"snapshot time {s} outside [0, t_max]")
     snapshots: list[Snapshot] = []
 

@@ -226,6 +226,16 @@ class TestSimulate:
         assert code == 2
         assert "r_max" in err
 
+    def test_nan_snapshot_time_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--mu", "2", "--p", "1.8", "--kbar", "0.5", "--dr", "0.1",
+            "--r-max", "10", "--t-max", "2", "--snapshot-times", "nan,1", "--out", str(tmp_path / "sim"),
+        )
+        assert code == 2
+        assert "snapshot time nan" in err
+        assert not (tmp_path / "sim" / "snapshots_u.csv").exists()
+
 
 class TestSweepCommand:
     def test_csv_cardinality_and_summary(self, capsys, tmp_path):
@@ -286,6 +296,17 @@ class TestConvergeCommand:
         assert len(payload["profile_errors"]) == 3
         assert len(payload["profile_orders"]) == 2
         assert (out_dir / "convergence.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_compare_time_rejected(self, capsys, tmp_path, value):
+        code, _, err = run_cli(
+            capsys,
+            "converge", "--n", "3", "--mu", "0", "--p", "2", "--kbar", "0.5", "--eps", "0.05",
+            "--form", "free", "--dr", "0.1", "--r-max", "14", "--t-max", "4",
+            "--compare-time", value, "--out", str(tmp_path / "conv"),
+        )
+        assert code == 2
+        assert f"compare_time must be finite, got {value}" in err
 
 
 class TestConfigFile:

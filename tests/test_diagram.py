@@ -1,0 +1,136 @@
+"""The streamed atlas writers against per-cell reference writers.
+
+`write_atlas_svg` and `AtlasResult.to_csv` format each grid value once
+and write one chunk per kbar column.  The references below keep the plain
+per-cell loops they replaced; the output must match them byte for byte.
+"""
+
+import dataclasses
+import io
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from blowuplab.diagram import _FILL, _edges, write_atlas_svg
+from blowuplab.exponents import atlas
+
+CELLS_OPEN = '<g opacity="0.55">\n'
+CELLS_CLOSE = "</g>\n"
+
+
+def reference_csv(res) -> str:
+    """One f-string per cell, every value formatted at every cell."""
+    out = io.StringIO()
+    out.write("kbar,p,verdict,alpha\n")
+    for i, k in enumerate(res.kbar_values):
+        for j, p in enumerate(res.p_values):
+            a = res.alphas[i, j]
+            alpha_field = f"{a:.12g}" if math.isfinite(a) else ""
+            out.write(f"{k:.12g},{p:.12g},{res.verdicts[i, j]},{alpha_field}\n")
+    return out.getvalue()
+
+
+def reference_cells(res) -> str:
+    """The verdict rectangles, one f-string per cell, as the SVG writer
+    drew them before it streamed."""
+    W, H, ML, MR, MT, MB = 720, 540, 84, 26, 28, 58
+    pw, ph = W - ML - MR, H - MT - MB
+    ks, ps = res.kbar_values, res.p_values
+    k_lo, k_hi = float(ks.min()), float(ks.max())
+    p_lo, p_hi = float(ps.min()), float(ps.max())
+
+    def X(k):
+        return ML + (k - k_lo) / (k_hi - k_lo) * pw if k_hi > k_lo else ML + pw / 2
+
+    def Y(p):
+        return MT + (p_hi - p) / (p_hi - p_lo) * ph if p_hi > p_lo else MT + ph / 2
+
+    k_edges, p_edges = _edges(ks), _edges(ps)
+    out = []
+    for i in range(ks.size):
+        x0, x1 = X(k_edges[i]), X(k_edges[i + 1])
+        for j in range(ps.size):
+            fill = _FILL.get(res.verdicts[i, j])
+            if fill is None:
+                continue
+            y1, y0 = Y(p_edges[j]), Y(p_edges[j + 1])
+            out.append(
+                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+                f'height="{y1 - y0:.2f}" fill="{fill}"/>\n'
+            )
+    return "".join(out)
+
+
+def reference_svg(res) -> str:
+    """The document around the cells comes from an all-Unknown copy of the
+    atlas, which draws no cell; the reference cells go between its markers."""
+    blank = dataclasses.replace(res, verdicts=np.full(res.verdicts.shape, "Unknown", dtype=object))
+    buf = io.StringIO()
+    write_atlas_svg(blank, buf)
+    head, sep, rest = buf.getvalue().partition(CELLS_OPEN)
+    assert sep and rest.startswith(CELLS_CLOSE)
+    return head + CELLS_OPEN + reference_cells(res) + rest
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equality with the first differing line as the message (pytest's own
+    diff of two large strings takes minutes)."""
+    if got == want:
+        return
+    lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    n, pair = next(((n, pair) for n, pair in enumerate(lines, 1) if pair[0] != pair[1]), (None, None))
+    raise AssertionError(f"texts differ (lengths {len(got)}, {len(want)}); first differing line {n}: {pair}")
+
+
+CASES = [
+    pytest.param((3, 2.0, 0.0, (-0.5, 4.0, 120), (1.05, 3.5, 90)), id="n3-mu2-120x90"),
+    pytest.param((2, 2.5, 0.5625, (-0.5, 4.0, 40), (1.05, 3.5, 30)), id="n2-mu2.5-no-exact-labels"),
+    pytest.param((3, 2.0, 0.0, [1.0], [1.6]), id="single-node"),
+    pytest.param((3, 2.0, 0.0, (-0.5, 4.0, 50), (2.5, 3.5, 40)), id="p-range-without-pS"),
+    pytest.param((3, 0.0, 0.0, (-0.9, 2.0, 40), (1.05, 5.0, 30)), id="unknown-columns"),
+]
+
+
+@pytest.mark.parametrize("args", CASES)
+def test_writers_match_per_cell_reference(args, tmp_path):
+    res = atlas(*args)
+    svg, csv = io.StringIO(), io.StringIO()
+    write_atlas_svg(res, svg)
+    res.to_csv(csv)
+    assert_same_text(svg.getvalue(), reference_svg(res))
+    assert_same_text(csv.getvalue(), reference_csv(res))
+
+    write_atlas_svg(res, tmp_path / "atlas.svg")
+    res.to_csv(tmp_path / "atlas.csv")
+    assert_same_text((tmp_path / "atlas.svg").read_bytes().decode("utf-8"), svg.getvalue())
+    assert_same_text((tmp_path / "atlas.csv").read_bytes().decode("utf-8"), csv.getvalue())
+
+
+def test_cases_cover_the_edge_shapes():
+    # the parametrised atlases above are meant to hit these shapes
+    no_labels = atlas(*CASES[1].values[0])
+    assert "√" not in reference_svg(no_labels)
+    no_ps = atlas(*CASES[3].values[0])
+    assert not no_ps.p_values.min() <= no_ps.p_strauss <= no_ps.p_values.max()
+    mixed = atlas(*CASES[4].values[0])
+    drawn = [any(v in _FILL for v in column) for column in mixed.verdicts]
+    assert any(drawn) and not all(drawn)
+
+
+def test_writers_stream_one_column_at_a_time(tmp_path):
+    """Writing to a file must not hold the document in memory: the traced
+    peak stays below a quarter of each file's size (one column of cells is
+    about 1/200 of it)."""
+    res = atlas(3, 2.0, 0.0, (-0.5, 4.0, 200), (1.05, 3.5, 200))
+    for name, write in (("atlas.svg", lambda path: write_atlas_svg(res, path)), ("atlas.csv", res.to_csv)):
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < size / 4, f"{name}: traced peak {peak} B for a {size} B file"

@@ -116,6 +116,8 @@ class TestRun:
         grid = GridSpec(dr=0.1, r_max=8.0, t_max=3.0, cfl=0.7)
         with pytest.raises(ConfigurationError):
             run(Form.FREE, FREE_PARAMS, grid, snapshot_times=[5.0])
+        with pytest.raises(ConfigurationError, match="snapshot time nan"):
+            run(Form.FREE, FREE_PARAMS, grid, snapshot_times=[float("nan"), 1.0])
 
     def test_snapshots_near_zero_take_the_nearest_level(self):
         # a request up to dt/2 is nearest to t = 0 (ties go to the earlier
