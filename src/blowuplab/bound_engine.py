@@ -50,9 +50,10 @@ doubly exponentially, which yields the lifespan bound
 with C fully explicit in (p, mu, m, kbar, M, delta, delta_m).
 
 `free_lower_bound` and `verify_iteration_step` are quadrature oracles:
-they evaluate the underlying integrals numerically (scipy, imported on
-first call) and check the claimed inequalities pointwise, independent of
-the closed-form path.
+they evaluate the underlying integrals numerically (Gauss-Legendre rules
+in numpy: adaptive panels in 1-D, a tensor rule on the mapped triangle in
+2-D) and check the claimed inequalities pointwise, independent of the
+closed-form path.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._quadrature import integrate, integrate_triangle
 from .exponents import HypothesisError, ModelParams, fujita
 
 __all__ = [
@@ -265,15 +267,11 @@ def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:
         eps/(8 r^m) * integral_(r-t)^(r+t) s^m M (1+s)^(-(kbar+1)) ds
 
     at a Sigma_delta point (relative quadrature error < 1e-10)."""
-    from scipy.integrate import quad
     if not in_sigma(t, r, cfg):
         raise ValueError(f"(t, r) = ({t}, {r}) lies outside Sigma_delta")
     P = cfg.params
     m, kb = P.m, P.kbar
-
-    integral, _ = quad(
-        lambda s: s**m * (1.0 + s) ** (-(kb + 1.0)), r - t, r + t, epsabs=0.0, epsrel=1e-10, limit=200
-    )
+    integral = integrate(lambda s: s**m * (1.0 + s) ** (-(kb + 1.0)), r - t, r + t, rtol=1e-10).item()
     return P.eps * P.M / (8.0 * r**m) * integral
 
 
@@ -309,7 +307,6 @@ def verify_iteration_step(
     relative tolerance of 1e-8.  A ratio below 1 - slack beyond that
     tolerance falsifies the implementation, not the estimate.
     """
-    from scipy.integrate import dblquad
     P = cfg.params
     p, mu, m = P.p, P.mu, P.m
     a, b = state.a, state.b
@@ -319,32 +316,17 @@ def verify_iteration_step(
     # C^p / C' with C' = (C/2)^p / (2 (p a + 2)^2)
     const_ratio = 2.0 ** (p + 1.0) * (p * a + 2.0) ** 2
 
-    ratios = []
     for t, r in samples:
         if not t > 1:
             raise ValueError(f"sample t must be > 1, got {t}")
         if not in_sigma(t, r, cfg):
             raise ValueError(f"sample (t, r) = ({t}, {r}) lies outside Sigma_delta")
 
-        def integrand(s: float, tau: float) -> float:
-            return (
-                s ** (m * (1.0 - p))
-                * (s + tau) ** (-p * b)
-                * tau ** (p * a)
-                * (1.0 + tau) ** (-w)
-            )
+    def integrand(s, tau):
+        return s ** (m * (1.0 - p)) * (s + tau) ** (-p * b) * tau ** (p * a) * (1.0 + tau) ** (-w)
 
-        integral, _ = dblquad(
-            integrand,
-            0.0,
-            t,
-            lambda tau: r - t + tau,
-            lambda tau: r + t - tau,
-            epsabs=0.0,
-            epsrel=1e-8,
-        )
-        ratios.append(integral / 8.0 * const_ratio * (r + t) ** b_star / t**a_star)
-
+    integrals = integrate_triangle(integrand, samples, rtol=1e-8).tolist()
+    ratios = [i / 8.0 * const_ratio * (r + t) ** b_star / t**a_star for i, (t, r) in zip(integrals, samples)]
     worst = min(ratios)
     return IterationStepReport(
         samples=tuple(samples),

@@ -26,7 +26,6 @@ region diagram.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -419,11 +418,6 @@ class AtlasResult:
         finally:
             if own:
                 fh.close()
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> AtlasResult:

@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._quadrature import integrate
 from .exponents import ModelParams
 
 __all__ = [
@@ -357,18 +358,15 @@ def exact_free_wave_n3(t: float, r, g: Callable[[float], float], eps: float = 1.
 
         u(t, r) = eps/(2r) * integral_(|r-t|)^(r+t) s g(s) ds,
 
-    with the limit eps t g(t) at r = 0, evaluated by quadrature to a fixed
-    relative tolerance of 1e-12.  Serves as the independent reference for
-    convergence tests."""
-    from scipy.integrate import quad
+    with the limit eps t g(t) at r = 0, by adaptive Gauss-Legendre
+    quadrature over all radii at once to a relative tolerance of 1e-12
+    (ArithmeticError if s g(s) cannot be integrated to it); g maps a float
+    to a float.  The independent reference for convergence tests."""
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(radii)
-    for idx, rv in enumerate(radii):
-        if rv == 0.0:
-            out[idx] = eps * t * g(t)
-            continue
-        integral, _ = quad(lambda s: s * g(s), abs(rv - t), rv + t, epsabs=0.0, epsrel=1e-12, limit=200)
-        out[idx] = eps / (2.0 * rv) * integral
+    inner = radii != 0.0
+    out = np.full_like(radii, eps * t * g(t))
+    vg, rv = np.vectorize(g, otypes=[float]), radii[inner]
+    out[inner] = eps / (2.0 * rv) * integrate(lambda s: s * vg(s), np.abs(rv - t), rv + t, rtol=1e-12)
     return out if np.ndim(r) else float(out[0])
 
 

@@ -10,6 +10,7 @@ focusing) crossover and the fitted slope is about -0.55; see
 docs in the repository README for the measurement.
 """
 
+import io
 import math
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from blowuplab.solver import (
     step,
     transform_check,
 )
+from test_diagram import assert_same_text
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -239,5 +241,7 @@ def test_criterion_9_atlas_golden_reproduction():
     assert abs(res.p_strauss - (3.0 + SQRT17) / 4.0) < 1e-12
 
     golden = (DATA_DIR / "atlas_golden_n3_mu2.csv").read_text(encoding="utf-8")
-    assert res.to_csv_string() == golden
+    csv = io.StringIO()
+    res.to_csv(csv)
+    assert_same_text(csv.getvalue(), golden)
     report(9, "100x100 atlas matches golden CSV; intersection matches criterion 1 values")

@@ -330,6 +330,20 @@ class TestFreeLowerBound:
         with pytest.raises(ValueError):
             free_lower_bound(5.0, 5.5, make_cfg())
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_against_scipy(self, n):
+        from scipy.integrate import quad
+
+        cfg = make_cfg(n=n, p=1.5, kbar=0.5, M=2.0, eps=0.5)
+        m, kb = cfg.params.m, cfg.params.kbar
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            t = 0.1 + 10.0 * rng.random()
+            r = t + max(2.0 * t / cfg.delta_m, cfg.delta) + 20.0 * rng.random()
+            integral = quad(lambda s: s**m * (1.0 + s) ** (-(kb + 1.0)), r - t, r + t, epsabs=0.0, epsrel=1e-13)[0]
+            expected = cfg.params.eps * cfg.params.M / (8.0 * r**m) * integral
+            assert free_lower_bound(t, r, cfg) == pytest.approx(expected, rel=1e-10)
+
 
 class TestVerifyIterationStep:
     def _samples(self, cfg, count, seed=7):
@@ -362,6 +376,30 @@ class TestVerifyIterationStep:
             initial_state(cfg), [(t, base), (t, base + 5.0), (t, base + 20.0)], cfg
         )
         assert all(r >= 1.5 for r in report.ratios)
+
+    # the (n, mu, p) cases of the benchmark's verify workload
+    @pytest.mark.parametrize("n, mu, p", [(3, 2.0, 2.0), (3, 0.0, 2.0), (2, 2.0, 1.5), (4, 1.0, 1.6), (5, 2.0, 1.4)])
+    def test_ratios_against_scipy(self, n, mu, p):
+        from scipy.integrate import dblquad
+
+        cfg = make_cfg(n=n, mu=mu, p=p, kbar=0.5)
+        m, w = cfg.params.m, mu * (p - 1.0) / 2.0
+        state = initial_state(cfg)
+        for k in range(1, 4):
+            samples = self._samples(cfg, 4, seed=k)
+            a, b = state.a, state.b
+            nxt = iterate(state, cfg)
+            expected = []
+            for t, r in samples:
+                integral = dblquad(
+                    lambda s, tau: s ** (m * (1.0 - p)) * (s + tau) ** (-p * b) * tau ** (p * a) * (1.0 + tau) ** (-w),
+                    0.0, t, lambda tau: r - t + tau, lambda tau: r + t - tau, epsabs=0.0, epsrel=1e-10,
+                )[0]  # fmt: skip
+                const_ratio = 2.0 ** (p + 1.0) * (p * a + 2.0) ** 2
+                expected.append(integral / 8.0 * const_ratio * (r + t) ** nxt.b / t**nxt.a)
+            report = verify_iteration_step(state, samples, cfg)
+            np.testing.assert_allclose(report.ratios, expected, rtol=1e-8)
+            state = nxt
 
     def test_rejects_samples_outside_sigma(self):
         cfg = make_cfg()

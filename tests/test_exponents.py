@@ -1,8 +1,9 @@
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab.exponents import (
@@ -165,7 +166,9 @@ class TestAdmissibleRange:
 
 
 def _alt_exponent(p, mu, kbar):
-    return 1.0 / (2.0 / (p - 1.0) - mu / 2.0 - kbar)
+    # kbar + mu/2 grouped first: subtracting mu/2 and then kbar loses digits
+    # where the two nearly cancel (the @example below is off by 1.3e-12)
+    return 1.0 / (2.0 / (p - 1.0) - (kbar + mu / 2.0))
 
 
 class TestLifespanExponent:
@@ -197,6 +200,7 @@ class TestLifespanExponent:
         st.floats(min_value=-0.9, max_value=4.0),
         st.floats(min_value=1e-4, max_value=0.999),
     )
+    @example(mu=0.998046875, kbar=-0.4985114890704563, frac=0.96875)
     @settings(max_examples=300)
     def test_two_expressions_agree(self, mu, kbar, frac):
         h = kbar + mu / 2.0
@@ -349,7 +353,8 @@ class TestAtlas:
 
     def test_csv_round_trip_shape(self):
         res = atlas(3, 2.0, 0.0, (0.0, 2.0, 5), (1.2, 2.5, 7))
-        text = res.to_csv_string()
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        res.to_csv(buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "kbar,p,verdict,alpha"
         assert len(lines) == 1 + 5 * 7

@@ -1,4 +1,5 @@
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,49 @@ class TestFreeWaveAccuracy:
             closed = 2.0 * (np.exp(-((r - t) ** 2)) - np.exp(-((r + t) ** 2))) / (4.0 * r)
         closed[0] = 2.0 * t * math.exp(-t * t)
         np.testing.assert_allclose(oracle, closed, rtol=1e-10)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 8.0])
+    def test_quadrature_oracle_against_scipy(self, t):
+        from scipy.integrate import quad
+
+        def reference(g, r):
+            lo, hi = abs(r - t), r + t
+            kink = [1.0] if lo < 1.0 < hi else None  # where the bump's support ends
+            return quad(lambda s: s * g(s), lo, hi, points=kink, epsabs=0.0, epsrel=1e-13, limit=500)[0] / (2.0 * r)
+
+        r = np.array([0.05, 0.3, 0.9, 1.0, 1.7, 3.2, 5.0, 7.5, 12.0])
+        gauss = lambda s: math.exp(-s * s)  # noqa: E731
+        bump = lambda s: max(0.0, 1.0 - s * s) ** 3  # noqa: E731  C^2, support [0, 1]
+        closed = (np.exp(-((r - t) ** 2)) - np.exp(-((r + t) ** 2))) / (4.0 * r)
+        oracle = exact_free_wave_n3(t, r, gauss)
+        np.testing.assert_allclose(oracle, closed, rtol=1e-11)
+        np.testing.assert_allclose(oracle, [reference(gauss, rv) for rv in r], rtol=1e-11)
+        np.testing.assert_allclose(exact_free_wave_n3(t, r, bump), [reference(bump, rv) for rv in r], rtol=1e-11)
+
+    def test_quadrature_oracle_where_u_changes_sign(self):
+        # g = (1 - s^2) exp(-s^2) has s g(s) = d/ds [s^2 exp(-s^2) / 2], and
+        # u(2, r) changes sign at r = 1.99865134603...: a tolerance relative
+        # to the signed integral could not be met there, one relative to the
+        # integral of |s g(s)| can
+        t = 2.0
+        r = np.array([1.9986513460302162, 1.99865, 1.9987, 1.5, 2.5])
+        oracle = exact_free_wave_n3(t, r, lambda s: (1.0 - s * s) * math.exp(-s * s))
+        F = lambda s: s * s * np.exp(-s * s) / 2.0  # noqa: E731
+        np.testing.assert_allclose(oracle, (F(r + t) - F(np.abs(r - t))) / (2.0 * r), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("g", [lambda s: 1.0 / abs(s - 1.0), lambda s: math.nan], ids=["non-integrable", "nan"])
+    def test_quadrature_oracle_raises_within_one_second(self, g):
+        def expire(signum, frame):
+            raise TimeoutError("exact_free_wave_n3 ran for more than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ArithmeticError):
+                exact_free_wave_n3(2.0, 1.5, g)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_energy_drift_small(self):
         params = FREE_PARAMS
