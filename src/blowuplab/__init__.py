@@ -56,7 +56,6 @@ from .solver import (
     initial_data,
     max_stable_cfl,
     run,
-    step,
     transform_check,
 )
 

@@ -1,15 +1,14 @@
-"""Explicit radial finite-difference solver with blow-up detection.
+"""Explicit radial finite-volume solver with blow-up detection.
 
-Every form is discretized on the uniform grid r_i = i dr, i = 0..N, by
-central differences for u_tt - L u = a |u|^p + c u/(1+t)^2, L u = u_rr +
-(n-1)/r u_r, as one three-level leapfrog stencil with per-form
-coefficients (beta, a, c) and per-node weights built once per run:
+Every form is discretized on the uniform grid r_i = i dr, i = 0..N, as
+one three-level leapfrog stencil for u_tt - L u = a |u|^p + c u/(1+t)^2,
+L u = r^(1-n) (r^(n-1) u_r)_r, with per-form coefficients (beta, a, c)
+and per-node weights built once per run:
 
-    (1+beta) u_i^(j+1) = D u_i + A_i u_(i+1) + B_i u_(i-1)
+    (1+beta) u_i^(j+1) = D_i u_i + A_i u_(i+1) + B_i u_(i-1)
                          - (1-beta) u_i^(j-1) + dt^2 a |u_i|^p,
 
-A_i, B_i = lambda^2 (1 +- h_i), h_i = (n-1) dr/(2 r_i), lambda = dt/dr =
-cfl, and D = 2 - 2 lambda^2 + dt^2 c/(1+t_j)^2:
+D_i = 2 - A_i - B_i + dt^2 c/(1+t_j)^2, lambda = dt/dr = cfl:
 
 * u-form, u_tt - L u = (1+t)^(-mu(p-1)/2) |u|^p + c u/(1+t)^2 with
   c = (mu/2)(mu/2-1) - nu: beta = 0, a = (1+t)^(-mu(p-1)/2);
@@ -22,11 +21,16 @@ The u- and v-forms describe the same dynamics through
 u = (1+t)^(mu/2) v; `transform_check` measures the discrete residue of
 that identity.
 
-Origin: by radial symmetry u_r(t, 0) = 0, so L at r = 0 is its limit
-n u_rr, discretized with the even extension u_(-1) = u_1: h_0 = 2n-1
-gives A_0 = 2n lambda^2, and B_0 = -2(n-1) lambda^2 multiplies u_0, so
-D_0 = D + B_0.  That stencil caps the stable Courant ratio
-(`max_stable_cfl`), which `run` checks before stepping.
+Finite volumes: node i is the centre of the cell between the faces
+r_(i+-1/2), with exact volume V_i = (r_(i+1/2)^n - r_(i-1/2)^n)/n, and
+L u_i is the net flux r^(n-1) u_r through its faces over V_i, so
+A_i, B_i = lambda^2 dr r_(i+-1/2)^(n-1)/V_i (`_face_weights`).  The
+origin cell is the ball r <= dr/2: no inner face, so B_0 = 0 and
+A_0 = 2n lambda^2, the limit n u_rr of L.  The operator is symmetric in
+the V-weighted inner product with a real spectrum <= 0 for every n, so
+leapfrog conserves `discrete_energy` and is stable while lambda^2 rho
+<= 4, rho the largest eigenvalue of -L dr^2: `max_stable_cfl`, which
+`run` checks before stepping.
 
 Outer boundary: no absorbing condition, so values are correct only
 inside the shrinking causal region r <= r_max - t/cfl (the discrete
@@ -34,11 +38,11 @@ stencil moves one node per step, i.e. at speed 1/cfl >= 1).  `run`
 requires r_max > t_max/cfl so the region never empties, restricts
 amplitude monitoring, snapshots and blow-up detection to it, and updates
 only its nodes, one fewer per step: values outside it never reach it.
-`step` updates the whole grid with the outer node frozen.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -53,14 +57,11 @@ __all__ = [
     "ConfigurationError",
     "Form",
     "GridSpec",
-    "SolverState",
     "Snapshot",
     "SolverRun",
     "TransformReport",
     "initial_data",
     "max_stable_cfl",
-    "first_step",
-    "step",
     "run",
     "causal_node_count",
     "discrete_energy",
@@ -144,15 +145,31 @@ def _coefficients(form: Form, params: ModelParams, t: float) -> tuple[float, flo
     return 0.0, 0.0, 0.0
 
 
-def max_stable_cfl(n: int) -> float:
-    """Stable Courant ratio bound min(0.9, 0.995 sqrt(2/n)).
+def _face_weights(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (a_i, b_i) = dr r_(i+-1/2)^(n-1)/V_i of the cells i = 0..count-1,
+    the outer and inner face over the volume: a_i = n/((i+1/2)(1 - q_i^n))
+    and b_i = a_i q_i^(n-1), q_i = (i-1/2)/(i+1/2), with b_0 = 0 (the origin
+    cell has no inner face).  1 - q^n is taken as -expm1(n log1p(-1/(i+1/2))),
+    so no power of r is formed and nothing overflows for any n."""
+    s = np.arange(count) + 0.5
+    log_q = np.log1p(-1.0 / s[1:])
+    a, b = n / s, np.zeros(count)
+    a[1:] /= -np.expm1(n * log_q)
+    b[1:] = a[1:] * np.exp((n - 1.0) * log_q)
+    return a, b
 
-    sqrt(2/n) is the origin-stencil bound (exact for n = 3, where the
-    origin node decouples with eigenvalue -2n/dr^2); the 0.9 cap covers
-    the first-order radial term's penalty at n = 2 (measured spectral
-    limit ~0.909).
-    """
-    return min(0.9, 0.995 * math.sqrt(2.0 / n))
+
+@functools.cache
+def max_stable_cfl(n: int) -> float:
+    """Largest stable Courant ratio min(1, 2/sqrt(rho)), rho the largest
+    eigenvalue of -L dr^2 on 64 nodes, symmetrised by the cell volumes
+    (diagonal a_i + b_i, off-diagonal -sqrt(a_i b_(i+1))).  Its top mode
+    sits at the origin, so longer grids give the same limit to rounding;
+    it falls from 0.909 at n = 2 to sqrt(2/n) for large n."""
+    a, b = _face_weights(n, 64)
+    off = -np.sqrt(a[:-1] * b[1:])
+    rho = np.linalg.eigvalsh(np.diag(a + b) + np.diag(off, 1) + np.diag(off, -1))[-1]
+    return min(1.0, 2.0 / math.sqrt(rho))
 
 
 class _Leapfrog:
@@ -160,10 +177,9 @@ class _Leapfrog:
 
     def __init__(self, form: Form, params: ModelParams, grid: GridSpec) -> None:
         self.form, self.params, self.dt, self.dt2 = form, params, grid.dt, grid.dt**2
-        lam2, n = grid.cfl**2, params.n
-        h = np.concatenate(([2.0 * n - 1.0], (n - 1.0) / (2.0 * np.arange(1, grid.n_nodes - 1))))  # h_0: origin
-        self.A, self.B = lam2 * (1.0 + h), lam2 * (1.0 - h)
-        self.D, self.x = 2.0 - 2.0 * lam2, np.empty(grid.n_nodes)
+        a, b = _face_weights(params.n, grid.n_nodes)
+        self.A, self.B = grid.cfl**2 * a, grid.cfl**2 * b
+        self.D, self.x = 2.0 - self.A - self.B, np.empty(grid.n_nodes)
 
     def __call__(self, u: np.ndarray, up: np.ndarray, t: float, m: int) -> None:
         """Overwrite up[:m] (level j-1) with level j+1 from level j in u at
@@ -171,15 +187,17 @@ class _Leapfrog:
         x, up = self.x[:m], up[:m]
         a, c, b = _coefficients(self.form, self.params, t)
         beta = 0.5 * b * self.dt
-        np.multiply(u[:m], self.D + self.dt2 * c / (1.0 + t) ** 2, out=x)
+        d = self.D[:m]
+        if c:
+            d = np.add(d, self.dt2 * c / (1.0 + t) ** 2, out=x)
+        np.multiply(u[:m], d, out=x)
         if beta:
             np.multiply(up, 1.0 - beta, out=up)
         np.subtract(x, up, out=up)
         np.multiply(self.A[:m], u[1 : m + 1], out=x)
         np.add(up, x, out=up)
-        np.multiply(self.B[1:m], u[: m - 1], out=x[1:])
-        x[0] = self.B[0] * u[0]
-        np.add(up, x, out=up)
+        np.multiply(self.B[1:m], u[: m - 1], out=x[1:])  # B_0 = 0
+        np.add(up[1:], x[1:], out=up[1:])
         if a:
             np.abs(u[:m], out=x)
             np.power(x, self.params.p, out=x)
@@ -187,38 +205,6 @@ class _Leapfrog:
             np.add(up, x, out=up)
         if beta:
             np.divide(up, 1.0 + beta, out=up)
-
-
-@dataclass
-class SolverState:
-    """Two consecutive time levels; u_curr lives at t = j dt."""
-
-    j: int
-    t: float
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-
-
-def first_step(form: Form, g: np.ndarray, eps: float, dt: float, mu: float) -> np.ndarray:
-    """Level-1 values from u = 0, u_t = eps g at t = 0.
-
-    For the u and free forms the initial acceleration vanishes, so
-    u^1 = dt eps g is third-order accurate.  The damped form starts with
-    v_tt(0) = -mu eps g, handled by the extra (1 - mu dt / 2) factor.
-    """
-    u1 = dt * eps * g
-    if form is Form.V:
-        u1 = u1 * (1.0 - mu * dt / 2.0)
-    return u1
-
-
-def step(state: SolverState, grid: GridSpec, params: ModelParams, form: Form) -> SolverState:
-    """One leapfrog update of the whole grid, the outer node frozen.
-    Non-finite values are left to the caller; they are not an error."""
-    u_next = np.array(state.u_prev, dtype=float)
-    _Leapfrog(form, params, grid)(state.u_curr, u_next, state.t, grid.n_nodes - 1)
-    u_next[-1] = state.u_curr[-1]
-    return SolverState(j=state.j + 1, t=state.t + grid.dt, u_prev=state.u_curr, u_curr=u_next)
 
 
 def causal_node_count(grid: GridSpec, t: float) -> int:
@@ -294,7 +280,11 @@ def run(
 
     # two level buffers: the kernel overwrites level j-1 with level j+1
     kernel = _Leapfrog(form, params, grid)
-    u, up = first_step(form, g_vals, params.eps, dt, params.mu), np.zeros_like(r)
+    # level 1 from u = 0, u_t = eps g: u_tt(0) vanishes in the u and free
+    # forms, and the damped form's v_tt(0) = -mu eps g gives the factor
+    u, up = dt * params.eps * g_vals, np.zeros_like(r)
+    if form is Form.V:
+        u *= 1.0 - params.mu * dt / 2.0
     t = dt
     nc = causal_node_count(grid, t)
 
@@ -338,19 +328,20 @@ def run(
     return SolverRun(form, params, grid, outcome, T_num, t, hist, snapshots)
 
 
-def discrete_energy(state: SolverState, grid: GridSpec, n: int) -> float:
-    """Half-step energy dr * sum r^(n-1) (u_t^2 + u_r^2) between the two
-    stored levels (u_t forward in time, u_r central on the averaged
-    level)."""
-    dt, dr = grid.dt, grid.dr
-    r = grid.radii()
-    ut = (state.u_curr - state.u_prev) / dt
-    um = 0.5 * (state.u_curr + state.u_prev)
-    ur = np.zeros_like(um)
-    ur[1:-1] = (um[2:] - um[:-2]) / (2.0 * dr)
-    ur[-1] = (um[-1] - um[-2]) / dr
-    # ur[0] = 0 by radial symmetry; the r^(n-1) weight kills it anyway
-    return float(dr * np.sum(r ** (n - 1.0) * (ut**2 + ur**2)))
+def discrete_energy(u_prev: np.ndarray, u_curr: np.ndarray, grid: GridSpec, n: int) -> float:
+    """The energy that leapfrog conserves between two consecutive levels,
+
+        sum_i V_i u_t,i^2 + sum_i r_(i+1/2)^(n-1) dr (Du^(j+1))_i (Du^j)_i / dr^2,
+
+    u_t forward in time, D the forward difference across face i+1/2, and
+    V_i = dr r_(i+1/2)^(n-1)/a_i from the kernel's face weights (the
+    spherical area factor left out).  It is constant, up to rounding, for
+    a free wave stepped over the whole grid with the outer node frozen."""
+    a, _ = _face_weights(n, u_curr.size)
+    face = grid.dr * (grid.dr * (np.arange(u_curr.size) + 0.5)) ** (n - 1.0)
+    ut = (u_curr - u_prev) / grid.dt
+    grad = np.diff(u_curr) * np.diff(u_prev) / grid.dr**2
+    return float(np.sum(face * ut**2 / a) + np.sum(face[:-1] * grad))
 
 
 def exact_free_wave_n3(t: float, r, g: Callable[[float], float], eps: float = 1.0) -> np.ndarray:

@@ -30,15 +30,12 @@ from blowuplab.exponents import ModelParams, atlas, fujita, kbar_zero, lifespan_
 from blowuplab.solver import (
     Form,
     GridSpec,
-    SolverState,
-    discrete_energy,
     exact_free_wave_n3,
-    first_step,
     run,
-    step,
     transform_check,
 )
 from test_diagram import assert_same_text
+from test_solver import max_energy_drift
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -153,17 +150,8 @@ def test_criterion_5_free_wave_convergence_and_energy():
     assert all(1.8 <= o <= 2.2 for o in orders), orders
 
     grid = GridSpec(dr=0.05, r_max=16.0, t_max=10.0, cfl=0.7)
-    r = grid.radii()
-    state = SolverState(
-        j=1, t=grid.dt, u_prev=np.zeros_like(r),
-        u_curr=first_step(Form.FREE, g(r), params.eps, grid.dt, params.mu),
-    )
-    E0 = discrete_energy(state, grid, params.n)
-    drift = 0.0
-    for _ in range(int(round(grid.t_max / grid.dt)) - 1):
-        state = step(state, grid, params, Form.FREE)
-        drift = max(drift, abs(discrete_energy(state, grid, params.n) - E0) / E0)
-    assert drift < 0.01
+    drift = max_energy_drift(params, grid, g, int(round(grid.t_max / grid.dt)))
+    assert drift <= 1e-12
     report(5, f"observed orders {[f'{o:.3f}' for o in orders]}, energy drift {drift:.2e} over t in [0, 10]")
 
 

@@ -1,25 +1,26 @@
+import itertools
 import math
 import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab.exponents import ModelParams
 from blowuplab.solver import (
     ConfigurationError,
     Form,
     GridSpec,
-    SolverState,
+    _Leapfrog,
     causal_node_count,
     compare_forms,
     discrete_energy,
     exact_free_wave_n3,
-    first_step,
     initial_data,
     max_stable_cfl,
     run,
-    step,
     transform_check,
     transform_times,
 )
@@ -30,6 +31,48 @@ BLOWUP_PARAMS = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, M=1.0, eps=5.0
 
 def gaussian(r):
     return np.exp(-np.asarray(r, dtype=float) ** 2)
+
+
+def cell_faces(grid, n):
+    """Outer and inner face radii and exact volume (r_out^n - r_in^n)/n of
+    every cell; the origin cell is the ball r <= dr/2."""
+    outer = grid.radii() + grid.dr / 2.0
+    inner = np.maximum(outer - grid.dr, 0.0)
+    return outer, inner, (outer**n - inner**n) / n
+
+
+def spectral_limit(n, n_nodes):
+    """min(1, 2/sqrt(rho)), rho the spectral radius of the unsymmetrised
+    operator -L dr^2 on n_nodes nodes, built from the face radii and cell
+    volumes directly (u = 0 beyond the last node)."""
+    outer, inner, volume = cell_faces(GridSpec(dr=1.0, r_max=n_nodes - 1.0, t_max=1.0), n)
+    a, b = outer ** (n - 1) / volume, inner ** (n - 1) / volume
+    op = np.diag(a + b) - np.diag(a[:-1], 1) - np.diag(b[1:], -1)
+    return min(1.0, 2.0 / math.sqrt(np.max(np.abs(np.linalg.eigvals(op)))))
+
+
+def full_grid_levels(form, params, grid, g=None):
+    """Yield (t, u_prev, u_curr) from level 1 on: `run`'s level 1, then the
+    solver's kernel over the whole grid with the outer node frozen."""
+    kernel, r = _Leapfrog(form, params, grid), grid.radii()
+    up, u = np.zeros_like(r), grid.dt * params.eps * (initial_data(r, params) if g is None else g(r))
+    if form is Form.V:
+        u = u * (1.0 - params.mu * grid.dt / 2.0)
+    t = grid.dt
+    while True:
+        yield t, up, u
+        nxt = up.copy()
+        kernel(u, nxt, t, grid.n_nodes - 1)
+        nxt[-1] = u[-1]
+        up, u, t = u, nxt, t + grid.dt
+
+
+def max_energy_drift(params, grid, g, n_levels):
+    """Largest relative change of `discrete_energy` over the first n_levels
+    full-grid levels of the free form."""
+    levels = itertools.islice(full_grid_levels(Form.FREE, params, grid, g=g), n_levels)
+    energies = np.array([discrete_energy(up, u, grid, params.n) for _, up, u in levels])
+    return float(np.max(np.abs(energies - energies[0])) / energies[0])
 
 
 class TestInitialData:
@@ -49,9 +92,33 @@ class TestInitialData:
 
 
 class TestStability:
-    def test_limit_formula(self):
-        assert max_stable_cfl(3) == pytest.approx(0.995 * math.sqrt(2.0 / 3.0))
-        assert max_stable_cfl(2) == pytest.approx(0.9)
+    def test_limit_is_the_spectral_bound(self):
+        # the top mode sits at the origin, so 50 and 400 nodes agree
+        for n in range(2, 11):
+            for n_nodes in (50, 400):
+                assert abs(max_stable_cfl(n) - spectral_limit(n, n_nodes)) <= 1e-12, (n, n_nodes)
+        assert [round(max_stable_cfl(n), 4) for n in (2, 3, 4, 5, 6, 8, 10)] == [
+            0.9089, 0.7926, 0.7004, 0.6305, 0.5768, 0.4999, 0.4472
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    def test_limit_is_sharp(self, n):
+        # from a spike at the origin, 2% above the limit the free scheme
+        # grows by more than 1e6 within 100 steps; 2% below it stays
+        # within 4 times the spike over 2000 steps
+        def amplitudes(factor, n_levels):
+            params = replace(FREE_PARAMS, n=n)
+            grid = GridSpec(dr=1.0, r_max=63.0, t_max=1.0, cfl=factor * max_stable_cfl(n))
+            levels = full_grid_levels(Form.FREE, params, grid, g=lambda r: (r == 0.0) / grid.dt)
+            return np.array([np.max(np.abs(u)) for _, _, u in itertools.islice(levels, n_levels)])
+
+        assert amplitudes(1.02, 100)[-1] > 1e6
+        assert amplitudes(0.98, 2000).max() <= 4.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=10**5))
+    def test_limit_is_finite_and_at_most_one(self, n):
+        assert 0.0 < max_stable_cfl(n) <= 1.0
 
     def test_run_rejects_unstable_cfl(self):
         grid = GridSpec(dr=0.1, r_max=10.0, t_max=2.0, cfl=0.9)
@@ -65,14 +132,25 @@ class TestStability:
 
 
 class TestFirstStep:
+    """`run`'s level 1 from u = 0, u_t = eps g, here with eps = 2, dt = 0.1."""
+
+    PARAMS = ModelParams(n=3, mu=3.0, nu=0.0, p=2.0, kbar=0.5, eps=2.0)
+    GRID = GridSpec(dr=0.2, r_max=6.0, t_max=1.0, cfl=0.5)
+
+    def level_one(self, form):
+        snap = run(form, self.PARAMS, self.GRID, g=gaussian, snapshot_times=[self.GRID.dt]).snapshots[0]
+        assert snap.t == self.GRID.dt
+        return snap.u, gaussian(snap.r)
+
     def test_potential_form(self):
-        g = np.array([1.0, 0.5])
-        np.testing.assert_allclose(first_step(Form.U, g, 2.0, 0.1, 3.0), 0.2 * g)
+        for form in (Form.U, Form.FREE):
+            u, g = self.level_one(form)
+            np.testing.assert_allclose(u, 0.2 * g, rtol=1e-15)
 
     def test_damped_form_correction(self):
-        g = np.array([1.0, 0.5])
-        out = first_step(Form.V, g, 2.0, 0.1, 3.0)
-        np.testing.assert_allclose(out, 0.2 * g * (1.0 - 0.15))
+        # v_tt(0) = -mu eps g: the factor 1 - mu dt/2
+        u, g = self.level_one(Form.V)
+        np.testing.assert_allclose(u, 0.2 * g * (1.0 - 0.15), rtol=1e-15)
 
 
 class TestRun:
@@ -216,28 +294,71 @@ class TestFreeWaveAccuracy:
             signal.signal(signal.SIGALRM, previous)
 
     def test_energy_drift_small(self):
-        params = FREE_PARAMS
         grid = GridSpec(dr=0.08, r_max=14.0, t_max=5.0, cfl=0.7)
-        r = grid.radii()
-        state = SolverState(
-            j=1, t=grid.dt, u_prev=np.zeros_like(r), u_curr=first_step(Form.FREE, gaussian(r), 1.0, grid.dt, 0.0)
-        )
-        E0 = discrete_energy(state, grid, 3)
-        drift = 0.0
-        for _ in range(int(round(grid.t_max / grid.dt)) - 1):
-            state = step(state, grid, params, Form.FREE)
-            drift = max(drift, abs(discrete_energy(state, grid, 3) - E0) / E0)
-        assert drift < 0.01
+        assert max_energy_drift(FREE_PARAMS, grid, gaussian, int(round(grid.t_max / grid.dt))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_free_form_survives_and_conserves_energy(self, n):
+        # the benchmark's dimension probe: Gaussian data at 0.9 times the
+        # limit over t in [0, 30]
+        params = replace(FREE_PARAMS, n=n)
+        cfl = 0.9 * max_stable_cfl(n)
+        grid = GridSpec(dr=0.05, r_max=30.0 / cfl + 5.0, t_max=30.0, cfl=cfl)
+        res = run(Form.FREE, params, grid, g=gaussian, collect_history=False)
+        assert res.outcome == "Survived", res.T_num
+        assert max_energy_drift(params, grid, gaussian, int(round(grid.t_max / grid.dt))) <= 1e-12
 
 
-def textbook_step(state, grid, params, form):
-    """The leapfrog update as plain array expressions over the whole grid:
-    the reference the solver's in-place kernel is checked against."""
-    dt, dr, n, t = grid.dt, grid.dr, params.n, state.t
-    r, u, up = grid.radii(), state.u_curr, state.u_prev
-    lap = np.zeros_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2 + (n - 1.0) / r[1:-1] * (u[2:] - u[:-2]) / (2.0 * dr)
-    lap[0] = 2.0 * n * (u[1] - u[0]) / dr**2
+class TestOddDimensionDescent:
+    """Exact free waves for odd n by descent: if u solves the radial wave
+    equation in n dimensions, (1/r) u_r solves it in n + 2.  From
+    u_3 = (exp(-(r-t)^2) - exp(-(r+t)^2))/(4r), with u_3(0) = 0 and
+    u_3,t(0) = exp(-r^2), the n = 3 + 2k solution has u(0) = 0 and
+    u_t(0) = (-2)^k exp(-r^2)."""
+
+    @staticmethod
+    def exact(n):
+        import sympy
+        r, t = sympy.symbols("r t", positive=True)
+        u = (sympy.exp(-((r - t) ** 2)) - sympy.exp(-((r + t) ** 2))) / (4 * r)
+        for _ in range((n - 3) // 2):
+            u = sympy.diff(u, r) / r
+        residual = sympy.diff(u, t, 2) - sympy.diff(u, r, 2) - (n - 1) / r * sympy.diff(u, r)
+        return sympy.lambdify((t, r), u, "numpy"), sympy.lambdify((t, r), residual, "numpy")
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_reference_solves_the_wave_equation(self, n):
+        u, residual = self.exact(n)
+        tt, rr = np.meshgrid([0.3, 1.0, 2.5, 4.0], np.linspace(0.6, 7.0, 9))
+        assert np.max(np.abs(residual(tt, rr))) <= 1e-9 * np.max(np.abs(u(tt, rr)))
+        np.testing.assert_allclose(u(0.0, rr), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_second_order_against_descent_reference(self, n):
+        u, _ = self.exact(n)
+        params = replace(FREE_PARAMS, n=n)
+        g = lambda r: (-2.0) ** ((n - 3) // 2) * gaussian(r)  # noqa: E731
+        errs = []
+        for dr in (0.08, 0.04, 0.02, 0.01):
+            grid = GridSpec(dr=dr, r_max=20.0, t_max=3.2, cfl=0.4)
+            snap = run(Form.FREE, params, grid, g=g, snapshot_times=[3.2], collect_history=False).snapshots[0]
+            far = snap.r > 0.5
+            r, err = snap.r[far], snap.u[far] - u(snap.t, snap.r[far])
+            errs.append(math.sqrt(dr * np.sum(r ** (n - 1) * err**2)))
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert all(1.8 <= o <= 2.2 for o in orders), (errs, orders)
+
+
+def textbook_step(t, u_prev, u_curr, grid, params, form):
+    """The leapfrog update as plain array expressions over the whole grid,
+    the outer node frozen: the reference the solver's in-place kernel is
+    checked against.  L u is the net flux r^(n-1) u_r through each cell's
+    faces over its volume."""
+    dt, dr, n = grid.dt, grid.dr, params.n
+    u, up = u_curr, u_prev
+    outer, _, volume = cell_faces(grid, n)
+    flux = outer ** (n - 1) * np.append(np.diff(u), 0.0) / dr  # through the outer face
+    lap = (flux - np.append(0.0, flux[:-1])) / volume  # the origin cell has no inner face
     mu, nu, p = params.mu, params.nu, params.p
     if form is Form.V:
         beta = mu * dt / (2.0 * (1.0 + t))
@@ -250,21 +371,7 @@ def textbook_step(state, grid, params, form):
             src = (1.0 + t) ** (-mu * (p - 1.0) / 2.0) * np.abs(u) ** p + coeff * u / (1.0 + t) ** 2
         u_next = 2.0 * u - up + dt**2 * (lap + src)
     u_next[-1] = u[-1]
-    return SolverState(j=state.j + 1, t=t + dt, u_prev=u, u_curr=u_next)
-
-
-def full_grid_levels(form, params, grid, n_levels):
-    """Levels 1..n_levels from a loop of full-grid `step` calls."""
-    r = grid.radii()
-    state = SolverState(
-        j=1, t=grid.dt, u_prev=np.zeros_like(r),
-        u_curr=first_step(form, initial_data(r, params), params.eps, grid.dt, params.mu),
-    )
-    levels = [state]
-    while len(levels) < n_levels:
-        state = step(state, grid, params, form)
-        levels.append(state)
-    return levels
+    return u_next
 
 
 NU_PARAMS = ModelParams(n=3, mu=3.0, nu=0.5, p=1.8, kbar=0.5, M=1.0, eps=5.0)
@@ -275,9 +382,9 @@ def kernel_grid(params):
 
 
 class TestKernelEquivalence:
-    """`run` updates only the causal window, in place; `step` updates the
-    whole grid.  Both go through one kernel, checked here against
-    `textbook_step`: the weights regroup its sums, so they agree to
+    """`run` updates only the causal window, in place; `full_grid_levels`
+    updates the whole grid.  Both go through one kernel, checked here
+    against `textbook_step`: the weights regroup its sums, so they agree to
     rounding, not bitwise."""
 
     CASES = [
@@ -297,18 +404,16 @@ class TestKernelEquivalence:
         grid = kernel_grid(params)
         res = run(form, params, grid, snapshot_times=[1.0, 2.5, 4.0, 10.0])
         hist = res.amplitude_history
-        levels = full_grid_levels(form, params, grid, len(hist))
-        for st in levels[:40]:
-            got = step(st, grid, params, form).u_curr
-            want = textbook_step(st, grid, params, form).u_curr
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        levels = list(itertools.islice(full_grid_levels(form, params, grid), len(hist)))
+        for level, (_, _, got) in zip(levels[:40], levels[1:]):
+            np.testing.assert_allclose(got, textbook_step(*level, grid, params, form), rtol=1e-14, atol=0.0)
 
-        assert [st.t for st in levels] == list(hist[:, 0])
-        for st, amp in zip(levels, hist[:, 1]):
-            assert amp == np.max(np.abs(st.u_curr[: causal_node_count(grid, st.t)]))
-        by_time = {st.t: st for st in levels}
+        assert [t for t, _, _ in levels] == list(hist[:, 0])
+        for (t, _, u), amp in zip(levels, hist[:, 1]):
+            assert amp == np.max(np.abs(u[: causal_node_count(grid, t)]))
+        by_time = {t: u for t, _, u in levels}
         for snap in res.snapshots:
-            ref = by_time[snap.t].u_curr
+            ref = by_time[snap.t]
             assert snap.u.size == causal_node_count(grid, snap.t)
             assert np.array_equal(snap.u, ref[: snap.u.size])
         if form is Form.FREE:
@@ -332,12 +437,12 @@ class TestKernelEquivalence:
         # per-step agreement to rounding does not bound the drift over a run
         grid = kernel_grid(params)
         res = run(form, params, grid, collect_history=False)
-        state = full_grid_levels(form, params, grid, 1)[0]
-        amp = np.max(np.abs(state.u_curr[: causal_node_count(grid, state.t)]))
+        t, up, u = next(full_grid_levels(form, params, grid))
+        amp = np.max(np.abs(u[: causal_node_count(grid, t)]))
         while amp < grid.u_threshold:
-            prev_t, prev_amp = state.t, amp
-            state = textbook_step(state, grid, params, form)
-            amp = np.max(np.abs(state.u_curr[: causal_node_count(grid, state.t)]))
+            prev_t, prev_amp = t, amp
+            t, up, u = t + grid.dt, u, textbook_step(t, up, u, grid, params, form)
+            amp = np.max(np.abs(u[: causal_node_count(grid, t)]))
         T_ref = prev_t + (grid.u_threshold - prev_amp) / (amp - prev_amp) * grid.dt
         assert res.T_num == pytest.approx(T_ref, rel=1e-12)
 
@@ -345,17 +450,17 @@ class TestKernelEquivalence:
         grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7, u_threshold=math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             res = run(Form.U, BLOWUP_PARAMS, grid)
-            levels = full_grid_levels(Form.U, BLOWUP_PARAMS, grid, len(res.amplitude_history))
+            levels = list(itertools.islice(full_grid_levels(Form.U, BLOWUP_PARAMS, grid), len(res.amplitude_history)))
         amps = res.amplitude_history[:, 1]
         assert res.outcome == "BlewUp"
         assert np.all(np.isfinite(amps[:-1])) and not np.isfinite(amps[-1])
         assert amps[-2] > 1e100  # far past any finite threshold
         assert res.T_num == res.t_end == res.amplitude_history[-1, 0]
         assert res.T_num < grid.t_max
-        windows = [st.u_curr[: causal_node_count(grid, st.t)] for st in levels]
+        windows = [u[: causal_node_count(grid, t)] for t, _, u in levels]
         first_bad = next(k for k, w in enumerate(windows) if not np.all(np.isfinite(w)))
         assert first_bad == len(levels) - 1
-        assert levels[first_bad].t == res.T_num
+        assert levels[first_bad][0] == res.T_num
 
 
 class TestCausalRegion:
