@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 
 from ._quadrature import integrate, integrate_triangle
-from .exponents import HypothesisError, ModelParams, fujita
+from .exponents import HypothesisError, ModelParams, lifespan_exponent
 
 __all__ = [
     "BoundConfig",
@@ -233,19 +233,11 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
              (2 + 2/delta_m)^(1+kbar+m))^exponent,
         exponent = 1 / (2/(p-1) - mu/2 - kbar).
 
-    Preconditions: kbar < 2/(p-1) - mu/2, and p < p_F(mu/2 - 1) when
-    mu > 2.  C does not depend on eps.
+    Preconditions: the hypotheses of `classify`'s BlowUpTheorem1.  C does
+    not depend on eps.
     """
     P = cfg.params
-    if P.mu > 2.0 and not P.p < fujita(P.mu / 2.0 - 1.0):
-        raise HypothesisError(
-            f"p < p_F(mu/2 - 1) required when mu > 2: p={P.p}, p_F={fujita(P.mu / 2.0 - 1.0)}"
-        )
-    denom = 2.0 / (P.p - 1.0) - P.mu / 2.0 - P.kbar
-    if not denom > 0:
-        raise HypothesisError(
-            f"kbar < 2/(p-1) - mu/2 fails: kbar={P.kbar}, 2/(p-1) - mu/2={P.kbar + denom}"
-        )
+    lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
     consts = derive_K(cfg)
     m = P.m
     log_inner = (
@@ -256,7 +248,8 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
         + (P.kbar + 1.0) * math.log((1.0 + cfg.delta) / cfg.delta)
         + (1.0 + P.kbar + m) * math.log(2.0 + 2.0 / cfg.delta_m)
     )
-    exponent = 1.0 / denom
+    # lifespan_exponent's alpha can differ from this form in the last bit; C rests on this one
+    exponent = 1.0 / (2.0 / (P.p - 1.0) - P.mu / 2.0 - P.kbar)
     C = math.exp(exponent * log_inner)
     return LifespanBound(C=C, exponent=exponent, T_upper=C * P.eps ** (-exponent), constants=consts)
 
@@ -301,20 +294,20 @@ def verify_iteration_step(
             s^m (1+tau)^(-mu(p-1)/2) [C tau^a / (s^m (s+tau)^b)]^p ds dtau,
 
     and requires the result to dominate the next envelope
-    C' t^a' / (r^m (r+t)^b').  Ratios are computed with C scaled out, so
-    the check is unaffected by the doubly exponential constant.  Samples
-    must lie in Sigma_delta with t > 1.  The quadrature runs to a fixed
-    relative tolerance of 1e-8.  A ratio below 1 - slack beyond that
-    tolerance falsifies the implementation, not the estimate.
+    C' t^a' / (r^m (r+t)^b'), the rung that `iterate` returns, so the
+    check covers the package's own update.  Ratios are computed with C
+    scaled out as C^p / C' = exp(p log C - log C'), so the integrals never
+    carry the doubly exponential constant.  Samples must lie in
+    Sigma_delta with t > 1.  The quadrature runs to a fixed relative
+    tolerance of 1e-8.  A ratio below 1 - slack beyond that tolerance
+    falsifies the implementation, not the estimate.
     """
     P = cfg.params
-    p, mu, m = P.p, P.mu, P.m
+    p, m = P.p, P.m
     a, b = state.a, state.b
-    w = mu * (p - 1.0) / 2.0
-    a_star = p * (a - mu / 2.0) + 2.0 + mu / 2.0
-    b_star = p * b + m * (p - 1.0)
-    # C^p / C' with C' = (C/2)^p / (2 (p a + 2)^2)
-    const_ratio = 2.0 ** (p + 1.0) * (p * a + 2.0) ** 2
+    w = P.mu * (p - 1.0) / 2.0
+    nxt = iterate(state, cfg)
+    const_ratio = math.exp(p * state.logC - nxt.logC)  # C^p / C'
 
     for t, r in samples:
         if not t > 1:
@@ -326,7 +319,7 @@ def verify_iteration_step(
         return s ** (m * (1.0 - p)) * (s + tau) ** (-p * b) * tau ** (p * a) * (1.0 + tau) ** (-w)
 
     integrals = integrate_triangle(integrand, samples, rtol=1e-8).tolist()
-    ratios = [i / 8.0 * const_ratio * (r + t) ** b_star / t**a_star for i, (t, r) in zip(integrals, samples)]
+    ratios = [i / 8.0 * const_ratio * (r + t) ** nxt.b / t**nxt.a for i, (t, r) in zip(integrals, samples)]
     worst = min(ratios)
     return IterationStepReport(
         samples=tuple(samples),

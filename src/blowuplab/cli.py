@@ -135,8 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "refinement_levels": (int, 2, "mesh refinement levels per eps (T_num from the finest)"),
         "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
         "jobs": (int, OPTIONAL, f"worker pool size [default: ${ENV_JOBS} or cpu count]"),
-        "slope_tol": (float, 0.25, "relative tolerance on slope vs -alpha for the pass flag"),
-        "r2_min": (float, 0.95, "minimal r^2 for the pass flag"),
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
         "delta": _BOUND_OPTS["delta"],
         "delta_m": _BOUND_OPTS["delta_m"],
@@ -360,12 +358,8 @@ def _cmd_sweep(cfg: dict) -> int:
             fh.write(f"{pt.eps:.12g},{t_field},{a_field}\n")
 
     alpha = result.alpha_theory
-    fit_ok = (
-        result.complete
-        and math.isfinite(result.slope)
-        and abs(result.slope + alpha) / alpha <= cfg["slope_tol"]
-        and result.r_squared >= cfg["r2_min"]
-    )
+    slope_ok = math.isfinite(result.slope) and abs(result.slope + alpha) / alpha <= 0.25
+    fit_ok = result.complete and slope_ok and result.r_squared >= 0.95
     summary = {
         "slope": result.slope,
         "intercept": result.intercept,

@@ -251,6 +251,28 @@ def admissible_range(n: int, p: float, mu: float) -> tuple[float, float]:
     return k1, k2
 
 
+_T1_CONSTRAINTS = ("kbar + mu/2 > 0", "nu <= (mu/2)(mu/2 - 1)", "p < p_F(kbar + mu/2)")
+
+
+def _theorem1_failures(params: ModelParams) -> list[str]:
+    """The hypotheses of the blow-up result that `params` fails, in the
+    order of _T1_CONSTRAINTS; the only place they are tested.  The p_F
+    test needs kbar + mu/2 > 0 and is skipped without it."""
+    h = params.kbar + params.mu / 2.0
+    failed = []
+    if not h > 0:
+        failed.append(_T1_CONSTRAINTS[0])
+    if not 0.25 * params.mu * (params.mu - 2.0) >= params.nu:
+        failed.append(_T1_CONSTRAINTS[1])
+    if h > 0 and not params.p < fujita(h):
+        failed.append(_T1_CONSTRAINTS[2])
+    return failed
+
+
+def _alpha(params: ModelParams) -> float:
+    return 2.0 * (params.p - 1.0) / (4.0 - (params.mu + 2.0 * params.kbar) * (params.p - 1.0))
+
+
 def lifespan_exponent(params: ModelParams) -> float:
     """Exponent alpha of the lifespan bound T(eps) <= C eps^(-alpha),
 
@@ -260,22 +282,17 @@ def lifespan_exponent(params: ModelParams) -> float:
     first failed hypothesis otherwise.  Identical to
     1 / (2/(p-1) - mu/2 - kbar).
     """
-    h = params.kbar + params.mu / 2.0
-    if not h > 0:
-        raise HypothesisError(f"kbar + mu/2 > 0 fails: {h}")
-    nu_crit = 0.25 * params.mu * (params.mu - 2.0)
-    if not nu_crit >= params.nu:
-        raise HypothesisError(f"(mu/2)(mu/2 - 1) >= nu fails: {nu_crit} < {params.nu}")
-    if not params.p < fujita(h):
-        raise HypothesisError(f"p < p_F(kbar + mu/2) fails: {params.p} >= {fujita(h)}")
-    return 2.0 * (params.p - 1.0) / (4.0 - (params.mu + 2.0 * params.kbar) * (params.p - 1.0))
-
-
-_T1_CONSTRAINTS = (
-    "kbar + mu/2 > 0",
-    "nu <= (mu/2)(mu/2 - 1)",
-    "p < p_F(kbar + mu/2)",
-)
+    failed = _theorem1_failures(params)
+    if failed:
+        h = params.kbar + params.mu / 2.0
+        if failed[0] == _T1_CONSTRAINTS[0]:
+            values = f"{h}"
+        elif failed[0] == _T1_CONSTRAINTS[1]:
+            values = f"{params.nu} > {0.25 * params.mu * (params.mu - 2.0)}"
+        else:
+            values = f"{params.p} >= {fujita(h)}"
+        raise HypothesisError(f"{failed[0]} fails: {values}")
+    return _alpha(params)
 
 
 def classify(params: ModelParams) -> RegionVerdict:
@@ -290,24 +307,17 @@ def classify(params: ModelParams) -> RegionVerdict:
     since faster decay satisfies the slower-decay hypothesis).  Points on
     a boundary curve are Unknown: nothing is proved there.
     """
-    p, mu, nu, kbar, n = params.p, params.mu, params.nu, params.kbar, params.n
-    h = kbar + mu / 2.0
-    nu_crit = 0.25 * mu * (mu - 2.0)
-
-    t1_failed = []
-    if not h > 0:
-        t1_failed.append(_T1_CONSTRAINTS[0])
-    if not nu_crit >= nu:
-        t1_failed.append(_T1_CONSTRAINTS[1])
-    if not t1_failed and not p < fujita(h):
-        t1_failed.append(_T1_CONSTRAINTS[2])
+    t1_failed = _theorem1_failures(params)
     if not t1_failed:
         return RegionVerdict(
             kind=Verdict.BLOW_UP,
-            lifespan_exponent=lifespan_exponent(params),
+            lifespan_exponent=_alpha(params),
             active_constraints=_T1_CONSTRAINTS,
         )
 
+    p, mu, nu, kbar, n = params.p, params.mu, params.nu, params.kbar, params.n
+    h = kbar + mu / 2.0
+    nu_crit = 0.25 * mu * (mu - 2.0)
     ge_failed = []
     ge_active = []
     if nu == nu_crit and nu_crit >= 0.0:

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowuplab import bound_engine
 from blowuplab.bound_engine import (
     BoundConfig,
     IterationState,
@@ -19,7 +22,7 @@ from blowuplab.bound_engine import (
     seed_constant,
     verify_iteration_step,
 )
-from blowuplab.exponents import HypothesisError, ModelParams, lifespan_exponent
+from blowuplab.exponents import HypothesisError, ModelParams, Verdict, classify, lifespan_exponent
 
 
 def make_cfg(n=3, mu=2.0, p=2.0, kbar=0.5, M=1.0, eps=1.0, delta=1.0, delta_m=1.0, nu=0.0):
@@ -31,7 +34,8 @@ def make_cfg(n=3, mu=2.0, p=2.0, kbar=0.5, M=1.0, eps=1.0, delta=1.0, delta_m=1.
 
 
 def random_valid_cfg(rng, n_max=8):
-    """Parameters satisfying -1 < kbar < 2/(p-1) - mu/2 (and mu cap)."""
+    """Parameters in the blow-up region: nu = (mu/2)(mu/2 - 1),
+    kbar + mu/2 > 0 and -1 < kbar < 2/(p-1) - mu/2."""
     while True:
         n = int(rng.integers(2, n_max + 1))
         mu = float(rng.uniform(0.0, 4.0))
@@ -40,7 +44,7 @@ def random_valid_cfg(rng, n_max=8):
         if hi <= -0.9:
             continue
         kbar = float(rng.uniform(max(-0.9, hi - 3.0), hi - 0.01 * (hi + 1.0)))
-        if not -1.0 < kbar < hi:
+        if not -1.0 < kbar < hi or not kbar + mu / 2.0 > 0:
             continue
         return make_cfg(
             n=n,
@@ -233,11 +237,8 @@ class TestLifespanUpperBound:
         rng = np.random.default_rng(23)
         for _ in range(200):
             cfg = random_valid_cfg(rng)
-            P = cfg.params
-            if not P.kbar + P.mu / 2.0 > 0:
-                continue
             bound = lifespan_upper_bound(cfg)
-            alpha = lifespan_exponent(P)
+            alpha = lifespan_exponent(cfg.params)
             assert abs(bound.exponent - alpha) <= 1e-12 * alpha
 
     def test_eps_scaling_exact(self):
@@ -253,13 +254,37 @@ class TestLifespanUpperBound:
         assert b2.C / b1.C == pytest.approx(2.0 ** (-1.0 / denom), rel=1e-12)
 
     def test_precondition_names_inequality(self):
-        with pytest.raises(HypothesisError, match="kbar < 2"):
-            lifespan_upper_bound(make_cfg(kbar=1.0, p=2.0, mu=2.0))
-        with pytest.raises(HypothesisError, match="mu > 2"):
-            lifespan_upper_bound(make_cfg(mu=6.0, p=3.0, kbar=-0.9))
-        # with mu <= 2 the decay-interval inequality is the one named
-        with pytest.raises(HypothesisError, match="kbar < 2"):
-            lifespan_upper_bound(make_cfg(mu=2.0, p=3.0, kbar=0.5))
+        # the first failed hypothesis of the blow-up result is named
+        for kw in (dict(kbar=1.0, p=2.0, mu=2.0), dict(mu=6.0, p=3.0, kbar=-0.9), dict(mu=2.0, p=3.0, kbar=0.5)):
+            with pytest.raises(HypothesisError, match=re.escape("p < p_F(kbar + mu/2)")):
+                lifespan_upper_bound(make_cfg(**kw))
+        with pytest.raises(HypothesisError, match=re.escape("nu <= (mu/2)(mu/2 - 1)")):
+            lifespan_upper_bound(make_cfg(n=3, mu=2.0, nu=5.0, p=1.5, kbar=0.5))
+        with pytest.raises(HypothesisError, match=re.escape("kbar + mu/2 > 0")):
+            lifespan_upper_bound(make_cfg(n=3, mu=0.0, nu=0.0, p=1.5, kbar=-0.5))
+
+    @given(
+        st.integers(min_value=2, max_value=7),
+        st.floats(min_value=0.0, max_value=12.0),
+        st.floats(min_value=-2.0, max_value=10.0),
+        st.floats(min_value=1.01, max_value=4.0),
+        st.floats(min_value=-0.99, max_value=4.0),
+    )
+    @settings(max_examples=300)
+    def test_defined_exactly_where_classify_proves_blow_up(self, n, mu, nu, p, kbar):
+        params = ModelParams(n=n, mu=mu, nu=nu, p=p, kbar=kbar)
+        if classify(params).kind is not Verdict.BLOW_UP:
+            with pytest.raises(HypothesisError):
+                lifespan_exponent(params)
+            with pytest.raises(HypothesisError):
+                lifespan_upper_bound(BoundConfig(params=params))
+            return
+        alpha = lifespan_exponent(params)
+        try:
+            bound = lifespan_upper_bound(BoundConfig(params=params))
+        except OverflowError:  # C overflows near the Fujita curve, a known defect
+            return
+        assert abs(bound.exponent - alpha) <= 1e-12 * alpha
 
     def test_threshold_consistency_on_ray(self):
         # the smallest t > 1 on the ray with J > 0 sits within [0.5, 2] of T_upper
@@ -378,7 +403,9 @@ class TestVerifyIterationStep:
         assert all(r >= 1.5 for r in report.ratios)
 
     # the (n, mu, p) cases of the benchmark's verify workload
-    @pytest.mark.parametrize("n, mu, p", [(3, 2.0, 2.0), (3, 0.0, 2.0), (2, 2.0, 1.5), (4, 1.0, 1.6), (5, 2.0, 1.4)])
+    BATTERY = [(3, 2.0, 2.0), (3, 0.0, 2.0), (2, 2.0, 1.5), (4, 1.0, 1.6), (5, 2.0, 1.4)]
+
+    @pytest.mark.parametrize("n, mu, p", BATTERY)
     def test_ratios_against_scipy(self, n, mu, p):
         from scipy.integrate import dblquad
 
@@ -400,6 +427,33 @@ class TestVerifyIterationStep:
             report = verify_iteration_step(state, samples, cfg)
             np.testing.assert_allclose(report.ratios, expected, rtol=1e-8)
             state = nxt
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda s, P: dataclasses.replace(s, a=s.a + 0.5),
+            lambda s, P: dataclasses.replace(s, b=s.b - P.m * (P.p - 1.0)),
+            lambda s, P: dataclasses.replace(s, logC=s.logC + 1.0),
+        ],
+        ids=["a_plus_half", "b_without_m_term", "logC_plus_one"],
+    )
+    def test_broken_iterate_fails(self, monkeypatch, mutation):
+        # the oracle checks the rung that iterate returns, not its own copy:
+        # over the battery of test_ratios_against_scipy, a broken update
+        # drives the worst ratio below 1
+        def battery_worst():
+            worst = math.inf
+            for n, mu, p in self.BATTERY:
+                cfg = make_cfg(n=n, mu=mu, p=p, kbar=0.5)
+                state = initial_state(cfg)
+                for k in range(1, 4):
+                    worst = min(worst, verify_iteration_step(state, self._samples(cfg, 4, seed=k), cfg).worst_ratio)
+                    state = iterate(state, cfg)
+            return worst
+
+        assert battery_worst() > 1.0
+        monkeypatch.setattr(bound_engine, "iterate", lambda state, c: mutation(iterate(state, c), c.params))
+        assert battery_worst() < 1.0
 
     def test_rejects_samples_outside_sigma(self):
         cfg = make_cfg()

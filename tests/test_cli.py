@@ -65,6 +65,15 @@ class TestBound:
         assert payload["conditional"] is True
         assert payload["exponent"] == pytest.approx(2.0)
 
+    def test_outside_the_blow_up_region_names_the_hypothesis(self, capsys):
+        # the mass is too large for the blow-up result, so no bound is given
+        code, out, err = run_cli(
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "5", "--kbar", "0.5", "--p", "1.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "nu <= (mu/2)(mu/2 - 1)" in err
+
     def test_constants_come_from_the_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8"
