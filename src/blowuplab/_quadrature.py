@@ -21,10 +21,13 @@ def integrate(f, lo, hi, rtol: float) -> np.ndarray:
     A panel is accepted when its halves agree with it to within its share
     of the interval times rtol times the running integral of |f| (that of
     f can cancel to 0), and bisected otherwise.  Raises ArithmeticError on
-    a non-finite panel or when an interval needs more than _BUDGET panels.
+    a non-finite panel or when an interval needs more than _BUDGET panels,
+    and ValueError unless each lo_i <= hi_i and both are finite.
     """
     x, w = gauss_legendre(_ORDER)
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
+        raise ValueError("quadrature bounds must be finite with lo <= hi")
 
     def panels(a, b):
         half = 0.5 * (b - a)[:, None]

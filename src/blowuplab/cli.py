@@ -327,7 +327,7 @@ def _cmd_simulate(cfg: dict) -> int:
         }
     else:
         form = solver.Form(cfg["form"])
-        result = solver.run(form, params, grid, snapshot_times=times or (), collect_history=True)
+        result = solver.run(form, params, grid, snapshot_times=times or (), collect_history=with_history)
         name = f"snapshots_{form.value}.csv"
         _write_snapshots(out / name, result.snapshots)
         files.append(name)

@@ -135,16 +135,6 @@ def initial_data(r, params: ModelParams):
     return params.M * (1.0 + np.asarray(r, dtype=float)) ** (-(params.kbar + 1.0))
 
 
-def _coefficients(form: Form, params: ModelParams, t: float) -> tuple[float, float, float]:
-    """(a, c, b) of u_tt - L u + b u_t = a |u|^p + c u/(1+t)^2 for one form at time t."""
-    mu, p, nu = params.mu, params.p, params.nu
-    if form is Form.U:
-        return (1.0 + t) ** (-mu * (p - 1.0) / 2.0), 0.25 * mu * (mu - 2.0) - nu, 0.0
-    if form is Form.V:
-        return 1.0, -nu, mu / (1.0 + t)
-    return 0.0, 0.0, 0.0
-
-
 def _face_weights(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights (a_i, b_i) = dr r_(i+-1/2)^(n-1)/V_i of the cells i = 0..count-1,
     the outer and inner face over the volume: a_i = n/((i+1/2)(1 - q_i^n))
@@ -173,38 +163,44 @@ def max_stable_cfl(n: int) -> float:
 
 
 class _Leapfrog:
-    """The leapfrog update of one form on one grid, weights built once per run."""
+    """The leapfrog update of one form on one grid.  The weights and the
+    form's coefficients are bound once per run: a = (1+t)^a_exp (no source
+    in the free form), dt^2 c = dt2c and beta = b_mu dt/(2(1+t))."""
 
     def __init__(self, form: Form, params: ModelParams, grid: GridSpec) -> None:
-        self.form, self.params, self.dt, self.dt2 = form, params, grid.dt, grid.dt**2
+        mu, p, nu = params.mu, params.p, params.nu
+        self.dt, self.dt2, self.p = grid.dt, grid.dt**2, p
         a, b = _face_weights(params.n, grid.n_nodes)
         self.A, self.B = grid.cfl**2 * a, grid.cfl**2 * b
         self.D, self.x = 2.0 - self.A - self.B, np.empty(grid.n_nodes)
+        self.a_exp = {Form.U: -mu * (p - 1.0) / 2.0, Form.V: 0.0}.get(form)
+        self.dt2c = self.dt2 * {Form.U: 0.25 * mu * (mu - 2.0) - nu, Form.V: -nu}.get(form, 0.0)
+        self.b_mu = mu if form is Form.V else 0.0
 
-    def __call__(self, u: np.ndarray, up: np.ndarray, t: float, m: int) -> None:
+    def __call__(self, u: np.ndarray, up: np.ndarray, t: float, m: int, au: np.ndarray) -> None:
         """Overwrite up[:m] (level j-1) with level j+1 from level j in u at
-        time t, reading u[:m+1]; x is the scratch for each term."""
-        x, up = self.x[:m], up[:m]
-        a, c, b = _coefficients(self.form, self.params, t)
-        beta = 0.5 * b * self.dt
-        d = self.D[:m]
-        if c:
-            d = np.add(d, self.dt2 * c / (1.0 + t) ** 2, out=x)
-        np.multiply(u[:m], d, out=x)
+        time t, reading u[:m+1] and |u[:m]| from au[:m], which is then
+        overwritten like the scratch x of each term."""
+        x, up, d = self.x[:m], up[:m], self.D[:m]
+        a = 0.0 if self.a_exp is None else (1.0 + t) ** self.a_exp
+        beta = 0.5 * (self.b_mu / (1.0 + t)) * self.dt if self.b_mu else 0.0
+        if self.dt2c:
+            d = np.add(d, self.dt2c / (1.0 + t) ** 2, x)
+        np.multiply(u[:m], d, x)
         if beta:
-            np.multiply(up, 1.0 - beta, out=up)
-        np.subtract(x, up, out=up)
-        np.multiply(self.A[:m], u[1 : m + 1], out=x)
-        np.add(up, x, out=up)
-        np.multiply(self.B[1:m], u[: m - 1], out=x[1:])  # B_0 = 0
-        np.add(up[1:], x[1:], out=up[1:])
+            np.multiply(up, 1.0 - beta, up)
+        np.subtract(x, up, up)
+        np.multiply(self.A[:m], u[1 : m + 1], x)
+        np.add(up, x, up)
+        np.multiply(self.B[1:m], u[: m - 1], x[1:])  # B_0 = 0
+        np.add(up[1:], x[1:], up[1:])
         if a:
-            np.abs(u[:m], out=x)
-            np.power(x, self.params.p, out=x)
-            np.multiply(x, self.dt2 * a, out=x)
-            np.add(up, x, out=up)
+            au = au[:m]
+            np.power(au, self.p, au)
+            np.multiply(au, self.dt2 * a, au)
+            np.add(up, au, up)
         if beta:
-            np.divide(up, 1.0 + beta, out=up)
+            np.divide(up, 1.0 + beta, up)
 
 
 def causal_node_count(grid: GridSpec, t: float) -> int:
@@ -278,11 +274,12 @@ def run(
             raise ConfigurationError(f"snapshot time {s} outside [0, t_max]")
     snapshots: list[Snapshot] = []
 
-    # two level buffers: the kernel overwrites level j-1 with level j+1
+    # two level buffers (the kernel overwrites level j-1 with level j+1) and |u|
+    # of the newest level: its amplitude, then the kernel's source term
     kernel = _Leapfrog(form, params, grid)
     # level 1 from u = 0, u_t = eps g: u_tt(0) vanishes in the u and free
     # forms, and the damped form's v_tt(0) = -mu eps g gives the factor
-    u, up = dt * params.eps * g_vals, np.zeros_like(r)
+    u, up, au = dt * params.eps * g_vals, np.zeros_like(r), np.empty_like(r)
     if form is Form.V:
         u *= 1.0 - params.mu * dt / 2.0
     t = dt
@@ -297,31 +294,33 @@ def run(
 
     take_due_snapshots(0.0, up, causal_node_count(grid, 0.0))  # up holds level 0, all zeros
 
-    # max |u| without an abs temporary; NaN or inf stays non-finite
-    amp = float(max(u[:nc].max(), -u[:nc].min()))
+    amp = float(np.abs(u[:nc], au[:nc]).max())
     history = [(t, amp)] if collect_history else []
     take_due_snapshots(t, u, nc)
 
-    T_num = None
-    for _ in range(1, int(round(grid.t_max / dt))):
-        nc = causal_node_count(grid, t + dt)
-        kernel(u, up, t, nc)
-        u, up, t_prev, t = up, u, t, t + dt
-        new_amp = float(max(u[:nc].max(), -u[:nc].min()))
-        if collect_history:
-            history.append((t, new_amp))
-        if not math.isfinite(new_amp):
-            T_num = t
-        elif new_amp >= grid.u_threshold:
-            if math.isfinite(amp) and new_amp > amp:
-                frac = (grid.u_threshold - amp) / (new_amp - amp)
-                T_num = t_prev + min(max(frac, 0.0), 1.0) * dt
-            else:
+    T_num, n_nodes = None, grid.n_nodes
+    # |u|^p may overflow and inf - inf give NaN: reported below as a non-finite level
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(2, int(round(grid.t_max / dt)) + 1):
+            nc = max(n_nodes - j, 1)  # causal_node_count(grid, j dt), without the float rounding
+            kernel(u, up, t, nc, au)
+            u, up, t_prev, t = up, u, t, t + dt
+            new_amp = float(np.abs(u[:nc], au[:nc]).max())
+            if collect_history:
+                history.append((t, new_amp))
+            if not math.isfinite(new_amp):
                 T_num = t
-        amp = new_amp
-        if T_num is not None:
-            break
-        take_due_snapshots(t, u, nc)
+            elif new_amp >= grid.u_threshold:
+                if math.isfinite(amp) and new_amp > amp:
+                    frac = (grid.u_threshold - amp) / (new_amp - amp)
+                    T_num = t_prev + min(max(frac, 0.0), 1.0) * dt
+                else:
+                    T_num = t
+            amp = new_amp
+            if T_num is not None:
+                break
+            if pending:
+                take_due_snapshots(t, u, nc)
 
     hist = np.asarray(history) if history else np.empty((0, 2))
     outcome = "Survived" if T_num is None else "BlewUp"
@@ -352,12 +351,21 @@ def exact_free_wave_n3(t: float, r, g: Callable[[float], float], eps: float = 1.
     with the limit eps t g(t) at r = 0, by adaptive Gauss-Legendre
     quadrature over all radii at once to a relative tolerance of 1e-12
     (ArithmeticError if s g(s) cannot be integrated to it); g maps a float
-    to a float.  The independent reference for convergence tests."""
+    to a float, t and r must be finite and >= 0.  The independent
+    reference for convergence tests."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     radii = np.atleast_1d(np.asarray(r, dtype=float))
+    ok = (radii >= 0.0) & (radii < math.inf)
+    if not ok.all():
+        raise ValueError(f"r must be finite and >= 0, got {radii[~ok][0]}")
     inner = radii != 0.0
     out = np.full_like(radii, eps * t * g(t))
-    vg, rv = np.vectorize(g, otypes=[float]), radii[inner]
-    out[inner] = eps / (2.0 * rv) * integrate(lambda s: s * vg(s), np.abs(rv - t), rv + t, rtol=1e-12)
+
+    def sg(s: np.ndarray) -> np.ndarray:  # s g(s), one call of g per node
+        return s * np.fromiter(map(g, s.ravel().tolist()), float, s.size).reshape(s.shape)
+    rv = radii[inner]
+    out[inner] = eps / (2.0 * rv) * integrate(sg, np.abs(rv - t), rv + t, rtol=1e-12)
     return out if np.ndim(r) else float(out[0])
 
 

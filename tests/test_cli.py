@@ -217,6 +217,46 @@ class TestSimulate:
         for name in ("snapshots_u.csv", "run_summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_single_form_collects_the_history_only_when_asked(self, capsys, tmp_path, monkeypatch):
+        collected = []
+        real_run = solver.run
+
+        def recording_run(*args, **kwargs):
+            collected.append(kwargs["collect_history"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "run", recording_run)
+        args = [
+            "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
+            "--eps", "0.05", "--form", "u", "--dr", "0.1", "--r-max", "8", "--t-max", "3",
+        ]
+        code, out, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))
+        assert code == 0 and "max_amplitude_history" not in json.loads(out)
+        code, out, _ = run_cli(capsys, *args, "--history", "--out", str(tmp_path / "b"))
+        assert code == 0
+        history = json.loads(out)["max_amplitude_history"]
+        assert collected == [False, True]
+        assert len(history) == 43 and history[0][0] == pytest.approx(0.07)  # levels 1..round(3/0.07)
+        assert all(a > 0 for _, a in history)
+
+    def test_unbounded_threshold_stops_without_a_warning(self, tmp_path):
+        # only a non-finite level stops the run: |u|^p overflows on the way
+        # there, and no numpy warning may reach stderr
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "default", "-m", "blowuplab.cli",
+                "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--M", "1",
+                "--eps", "5", "--form", "u", "--dr", "0.05", "--r-max", "40", "--t-max", "20",
+                "--u-threshold", "inf", "--out", str(tmp_path / "sim"),
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert payload["outcome"] == "BlewUp" and payload["T_num"] < 20.0
+
     def test_unknown_form(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

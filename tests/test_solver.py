@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowuplab._quadrature import integrate
 from blowuplab.exponents import ModelParams
 from blowuplab.solver import (
     ConfigurationError,
@@ -62,7 +63,7 @@ def full_grid_levels(form, params, grid, g=None):
     while True:
         yield t, up, u
         nxt = up.copy()
-        kernel(u, nxt, t, grid.n_nodes - 1)
+        kernel(u, nxt, t, grid.n_nodes - 1, np.abs(u))
         nxt[-1] = u[-1]
         up, u, t = u, nxt, t + grid.dt
 
@@ -293,6 +294,52 @@ class TestFreeWaveAccuracy:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda s: math.exp(-s * s),
+            lambda s: 2,
+            lambda s: np.exp(-s * s),
+            lambda s: np.array(max(0.0, 1.0 - s * s) ** 3),
+        ],
+        ids=["float", "int", "float64", "0-d array"],
+    )
+    def test_quadrature_oracle_equals_vectorize_reference(self, g):
+        def reference(t, r, g, eps):
+            # the oracle written with np.vectorize over g: same calls of g, same floats
+            inner = r != 0.0
+            out = np.full_like(r, eps * t * g(t))
+            vg, rv = np.vectorize(g, otypes=[float]), r[inner]
+            out[inner] = eps / (2.0 * rv) * integrate(lambda s: s * vg(s), np.abs(rv - t), rv + t, rtol=1e-12)
+            return out
+
+        r = np.array([0.0, 0.05, 0.5, 1.0, 2.0, 3.7, 9.0])
+        for t in (0.0, 0.5, 2.0):
+            assert np.array_equal(exact_free_wave_n3(t, r, g, eps=1.5), reference(t, r, g, 1.5))
+        assert exact_free_wave_n3(2.0, 3.7, g) == reference(2.0, np.array([3.7]), g, 1.0)[0]
+
+    @pytest.mark.parametrize(
+        "t, r, name",
+        [
+            (1.0, -0.5, "r"),  # r < 0 gives the quadrature an interval with lo > hi
+            (1.0, -3.0, "r"),
+            (1.0, [0.5, -3.0], "r"),
+            (1.0, math.nan, "r"),
+            (1.0, math.inf, "r"),
+            (-1.0, 0.5, "t"),
+            (math.nan, 0.5, "t"),
+            (math.inf, 0.5, "t"),
+        ],
+    )
+    def test_quadrature_oracle_rejects_negative_or_non_finite_arguments(self, t, r, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0"):
+            exact_free_wave_n3(t, r, lambda s: math.exp(-s * s))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, -0.5), (0.5, [1.0, 0.2]), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+    def test_quadrature_rejects_reversed_or_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            integrate(np.exp, lo, hi, rtol=1e-12)
+
     def test_energy_drift_small(self):
         grid = GridSpec(dr=0.08, r_max=14.0, t_max=5.0, cfl=0.7)
         assert max_energy_drift(FREE_PARAMS, grid, gaussian, int(round(grid.t_max / grid.dt))) <= 1e-12
@@ -448,8 +495,8 @@ class TestKernelEquivalence:
 
     def test_only_non_finite_values_stop_an_unbounded_threshold(self):
         grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7, u_threshold=math.inf)
+        res = run(Form.U, BLOWUP_PARAMS, grid)  # steps without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            res = run(Form.U, BLOWUP_PARAMS, grid)
             levels = list(itertools.islice(full_grid_levels(Form.U, BLOWUP_PARAMS, grid), len(res.amplitude_history)))
         amps = res.amplitude_history[:, 1]
         assert res.outcome == "BlewUp"
@@ -469,6 +516,18 @@ class TestCausalRegion:
         n0 = causal_node_count(grid, 0.0)
         n1 = causal_node_count(grid, 1.0)  # 20 steps of dt = 0.05
         assert n0 - n1 == 20
+
+    def test_late_snapshots_match_the_float_rule(self):
+        # run counts the window down by one node per step; over 5 000 levels
+        # it must still agree with causal_node_count's rounding of t/dt
+        grid = GridSpec(dr=0.1, r_max=501.0, t_max=350.0, cfl=0.7)
+        times = [300.0, 340.03, 349.9, 350.0]
+        res = run(Form.FREE, FREE_PARAMS, grid, g=gaussian, snapshot_times=times, collect_history=False)
+        assert res.outcome == "Survived" and round(res.t_end / grid.dt) == 5000
+        assert [snap.t for snap in res.snapshots] == pytest.approx(times, abs=grid.dt / 2)
+        for snap in res.snapshots:
+            assert snap.u.size == snap.r.size == causal_node_count(grid, snap.t)
+        assert res.snapshots[-1].u.size == grid.n_nodes - 5000
 
 
 class TestPositivityAndLowerBound:
