@@ -142,6 +142,11 @@ class TestDeriveK:
         consts = derive_K(cfg)
         assert consts.K == pytest.approx(1.0 / 72.0, rel=1e-13)
 
+    def test_nonpositive_growth_coefficient_rejected(self):
+        # A = m + 1 - mu/2 + 2/(p-1) = 1 + 1 - 5 + 1 = -2 for n=3, mu=10, p=3
+        with pytest.raises(HypothesisError, match=re.escape("must be positive, got -2.0")):
+            derive_K(make_cfg(n=3, mu=10.0, p=3.0, kbar=0.5))
+
     def test_defining_inequality(self):
         rng = np.random.default_rng(5)
         for _ in range(30):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blowuplab.diagram import _FILL, _edges, write_atlas_svg
+from blowuplab.diagram import _FILL, _edges, exact_boundary_labels, write_atlas_svg
 from blowuplab.exponents import atlas
 
 CELLS_OPEN = '<g opacity="0.55">\n'
@@ -134,3 +134,25 @@ def test_writers_stream_one_column_at_a_time(tmp_path):
             tracemalloc.stop()
         size = path.stat().st_size
         assert peak < size / 4, f"{name}: traced peak {peak} B for a {size} B file"
+
+
+@pytest.mark.parametrize(
+    "n, mu, labels",
+    [
+        # p_S(d) = ((d+1) + sqrt(d^2 + 10 d - 7))/(2(d-1)), kbar0 = 2/(p_S - 1) - mu/2
+        (3, 2.0, ("(-1+√17)/2", "(3+√17)/4")),  # d = 5: sqrt(68) = 2 sqrt(17)
+        # d = 4 is the one rational case: sqrt(49) = 7, p_S = 12/6 = 2, kbar0 = 2 - mu/2
+        (3, 1.0, ("3/2", "2")),
+        (2, 2.0, ("1", "2")),
+        (5, -1.0, ("5/2", "2")),
+        # d = 3: p_S = (4 + 4 sqrt(2))/4 = 1 + sqrt(2), kbar0 = 2/sqrt(2) - 1/2
+        (2, 1.0, ("(-1+2√2)/2", "1+√2")),
+        # d = 35: sqrt(1568) = 28 sqrt(2), p_S = (36 + 28 sqrt(2))/68,
+        # 2/(p_S - 1) = 34/(-8 + 7 sqrt(2)) = 8 + 7 sqrt(2), kbar0 = that - 16
+        (3, 32.0, ("-8+7√2", "(9+7√2)/17")),
+        (3, 2.5, (None, None)),  # n + mu not an integer
+        (2, -1.0, (None, None)),  # d = 1: no p_S
+    ],
+)
+def test_exact_boundary_labels(n, mu, labels):
+    assert exact_boundary_labels(n, mu) == labels

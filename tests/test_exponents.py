@@ -164,6 +164,31 @@ class TestAdmissibleRange:
         assert k1 == pytest.approx(max(1.5, 2.0 - 1.5))
         assert k2 == pytest.approx(min(3.0, 3.0 * 2.0 - 2.5))
 
+    def test_n2_has_no_general_damping_case(self):
+        # M(2) = (1/2)(1 + sqrt(9)) = 2 exactly, so mu = 2 is the only
+        # damping the table covers in n = 2 and every other mu is out of range
+        assert mu_max(2) == 2.0
+        with pytest.raises(UncoveredCaseError, match="outside the encoded damping range"):
+            admissible_range(2, 2.0, 2.0 + 1e-9)
+
+    def test_general_mu_n3(self):
+        # k1 = max(1, 2/(p-1) - mu/2, 1/(p-1)) = max(1, 41/26, 20/13) = 41/26,
+        # k2 = min(n-1, (n+mu-1) p/2 - (mu+2)/2) = min(2, 13/8) = 13/8
+        k1, k2 = admissible_range(3, 1.65, 3.0)
+        assert k1 == pytest.approx(41.0 / 26.0, rel=1e-14)
+        assert k2 == pytest.approx(13.0 / 8.0, rel=1e-14)
+
+    def test_general_mu_odd_n5_both_sides_of_n_minus_1(self):
+        # mu = 4 <= n - 1: k1 = max(2, 2/(p-1) - 2) = 2/0.45 - 2 = 22/9;
+        # mu = 5 > n - 1: the guard 1/(p-1) = 20/9 joins and decides
+        # max(2, 2/0.45 - 5/2, 20/9) = 20/9, which the mu <= n - 1 rule misses
+        k1, k2 = admissible_range(5, 1.45, 4.0)
+        assert k1 == pytest.approx(22.0 / 9.0, rel=1e-14)
+        assert k2 == pytest.approx(2.8, rel=1e-14)  # min(4, 4 p - 3)
+        k1, k2 = admissible_range(5, 1.45, 5.0)
+        assert k1 == pytest.approx(20.0 / 9.0, rel=1e-14)
+        assert k2 == pytest.approx(3.025, rel=1e-14)  # min(4, 9p/2 - 7/2)
+
 
 def _alt_exponent(p, mu, kbar):
     # kbar + mu/2 grouped first: subtracting mu/2 and then kbar loses digits
@@ -297,6 +322,47 @@ class TestClassify:
             assert 0.25 * mu * (mu - 2.0) >= nu
             assert p < fujita(h)
             assert v.lifespan_exponent > 0
+
+    # one global-existence point per p-capped literature case; each passes
+    # the mass, damping, decay, p_S and p_F tests and fails T1's p < p_F:
+    #   n=7 mu=2: k1 = max(1, 3) = 3 <= 5 <= k2 = min(6, 6), p_S(9) = 1.425,
+    #             p_F(6) = 4/3, cap (n+1)/(n-3) = 2;
+    #   n=3 mu=3 nu=3/4: k1 = 41/26 <= 1.6 <= k2 = 13/8, p_S(6) = 1.643,
+    #             p_F(3.1) = 1.645, cap p_bar = min(p_F(3), p_F(5/2)) = 5/3;
+    #   n=5 mu=4 nu=2: k1 = 22/9 <= 2.5 <= k2 = 2.8, p_S(9) = 1.425,
+    #             p_F(4.5) = 1.444, cap p_bar = min(p_F(4), p_F(4)) = 3/2;
+    #   n=5 mu=5 nu=15/4: k1 = 2/0.39 - 5/2 = 2.628 <= 2.7 <= k2 = 2.755,
+    #             p_S(10) = 1.383, p_F(5.2) = 1.385, cap p_bar = p_F(5) = 7/5
+    @pytest.mark.parametrize(
+        "n, mu, nu, p, kbar, cap",
+        [
+            (7, 2.0, 0.0, 2.0, 5.0, "p <= (n+1)/(n-3) = 2"),
+            (3, 3.0, 0.75, 1.65, 1.6, "p < p_bar(n, mu) = 1.66667"),
+            (5, 4.0, 2.0, 1.45, 2.5, "p < p_bar(n, mu) = 1.5"),
+            (5, 5.0, 3.75, 1.39, 2.7, "p < p_bar(n, mu) = 1.4"),
+        ],
+    )
+    def test_global_existence_under_a_p_cap(self, n, mu, nu, p, kbar, cap):
+        v = classify(ModelParams(n=n, mu=mu, nu=nu, p=p, kbar=kbar))
+        assert v.kind is Verdict.GLOBAL_EXISTENCE
+        assert v.active_constraints == (
+            "nu = (mu/2)(mu/2 - 1) >= 0",
+            "2 <= mu <= M(n)",
+            "kbar >= k1(n, p, mu)",
+            "p > p_S(n + mu)",
+            "p > p_F(kbar + mu/2)",
+            cap,
+        )
+
+    def test_failed_p_cap_is_named(self):
+        # n=7 mu=2 at p = 2.5 > (n+1)/(n-3) = 2: every other test passes
+        # (k1 = max(1/3, 3) = 3 <= 5 <= k2 = min(8, 6) = 6)
+        v = classify(ModelParams(n=7, mu=2.0, nu=0.0, p=2.5, kbar=5.0))
+        assert v.kind is Verdict.UNKNOWN
+        assert v.active_constraints == (
+            "no blow-up: p < p_F(kbar + mu/2)",
+            "no global existence: p <= (n+1)/(n-3) = 2",
+        )
 
 
 class TestModelParams:
