@@ -138,17 +138,20 @@ def in_sigma(t: float, r: float, cfg: BoundConfig) -> bool:
     return r - t >= max(2.0 * t / cfg.delta_m, cfg.delta)
 
 
-def seed_constant(cfg: BoundConfig) -> float:
-    """log C0 with C0 = eps 2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)."""
+def _log_seed_factor(cfg: BoundConfig) -> float:
+    """log(C0/eps) = log(2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1))."""
     P = cfg.params
-    m = P.m
     return (
-        math.log(P.eps)
-        + (m - 2) * math.log(2.0)
+        (P.m - 2) * math.log(2.0)
         + math.log(P.M)
-        - m * math.log(cfg.delta_m)
+        - P.m * math.log(cfg.delta_m)
         + (P.kbar + 1.0) * math.log(cfg.delta / (1.0 + cfg.delta))
     )
+
+
+def seed_constant(cfg: BoundConfig) -> float:
+    """log C0 with C0 = eps 2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)."""
+    return math.log(cfg.params.eps) + _log_seed_factor(cfg)
 
 
 def initial_state(cfg: BoundConfig) -> IterationState:
@@ -229,27 +232,17 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
 def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     """Explicit bound T(eps) <= C eps^(-exponent), with
 
-        C = (e^S_limit delta_m^m / (2^(m-2) M) ((1+delta)/delta)^(kbar+1)
-             (2 + 2/delta_m)^(1+kbar+m))^exponent,
-        exponent = 1 / (2/(p-1) - mu/2 - kbar).
+        C = (e^S_limit (eps/C0) (2 + 2/delta_m)^(1+kbar+m))^exponent,
+        exponent = `lifespan_exponent` = 1 / (2/(p-1) - mu/2 - kbar).
 
-    Preconditions: the hypotheses of `classify`'s BlowUpTheorem1.  C does
-    not depend on eps.
+    Preconditions: the hypotheses of `classify`'s BlowUpTheorem1.  eps/C0
+    is the eps-free 1/(2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)),
+    so C does not depend on eps.
     """
     P = cfg.params
-    lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
+    exponent = lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
     consts = derive_K(cfg)
-    m = P.m
-    log_inner = (
-        consts.S_limit
-        + m * math.log(cfg.delta_m)
-        - (m - 2) * math.log(2.0)
-        - math.log(P.M)
-        + (P.kbar + 1.0) * math.log((1.0 + cfg.delta) / cfg.delta)
-        + (1.0 + P.kbar + m) * math.log(2.0 + 2.0 / cfg.delta_m)
-    )
-    # lifespan_exponent's alpha can differ from this form in the last bit; C rests on this one
-    exponent = 1.0 / (2.0 / (P.p - 1.0) - P.mu / 2.0 - P.kbar)
+    log_inner = consts.S_limit - _log_seed_factor(cfg) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m)
     C = math.exp(exponent * log_inner)
     return LifespanBound(C=C, exponent=exponent, T_upper=C * P.eps ** (-exponent), constants=consts)
 
@@ -279,11 +272,11 @@ class IterationStepReport:
     passed: bool
 
 
+_STEP_SLACK = 1e-6  # the relative shortfall below 1 that a step ratio may show
+
+
 def verify_iteration_step(
-    state: IterationState,
-    samples: list[tuple[float, float]],
-    cfg: BoundConfig,
-    slack: float = 1e-6,
+    state: IterationState, samples: list[tuple[float, float]], cfg: BoundConfig
 ) -> IterationStepReport:
     """Check one rung of the ladder against 2-D quadrature.
 
@@ -299,7 +292,7 @@ def verify_iteration_step(
     scaled out as C^p / C' = exp(p log C - log C'), so the integrals never
     carry the doubly exponential constant.  Samples must lie in
     Sigma_delta with t > 1.  The quadrature runs to a fixed relative
-    tolerance of 1e-8.  A ratio below 1 - slack beyond that tolerance
+    tolerance of 1e-8.  A ratio below 1 - _STEP_SLACK beyond that tolerance
     falsifies the implementation, not the estimate.
     """
     P = cfg.params
@@ -325,6 +318,6 @@ def verify_iteration_step(
         samples=tuple(samples),
         ratios=tuple(ratios),
         worst_ratio=worst,
-        slack=slack,
-        passed=worst >= 1.0 - slack,
+        slack=_STEP_SLACK,
+        passed=worst >= 1.0 - _STEP_SLACK,
     )

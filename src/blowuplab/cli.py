@@ -16,14 +16,11 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import bound_engine, diagram, experiments, exponents, solver
-
-ENV_JOBS = "BLOWUPLAB_JOBS"
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -134,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "eps_values": (_float_list, REQUIRED, "comma-separated eps grid, strictly increasing, >= 4 values; required"),
         "refinement_levels": (int, 2, "mesh refinement levels per eps (T_num from the finest)"),
         "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
-        "jobs": (int, OPTIONAL, f"worker pool size [default: ${ENV_JOBS} or cpu count]"),
+        "jobs": (int, OPTIONAL, "worker pool size; 1 or less runs serially [default: cpu count]"),
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
         "delta": _BOUND_OPTS["delta"],
         "delta_m": _BOUND_OPTS["delta_m"],
@@ -234,27 +231,8 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _jobs(cfg: dict) -> int:
-    if cfg.get("jobs") is not None:
-        return max(1, int(cfg["jobs"]))
-    env = os.environ.get(ENV_JOBS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{ENV_JOBS} must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
-
-
 def _cmd_classify(cfg: dict) -> int:
-    verdict = exponents.classify(_params(cfg))
-    _emit(
-        {
-            "kind": verdict.kind.value,
-            "lifespan_exponent": verdict.lifespan_exponent,
-            "active_constraints": list(verdict.active_constraints),
-        }
-    )
+    _emit(dataclasses.asdict(exponents.classify(_params(cfg))))
     return 0
 
 
@@ -320,11 +298,7 @@ def _cmd_simulate(cfg: dict) -> int:
             _write_snapshots(out / name, result.snapshots if times else [])
             files.append(name)
             payload[result.form.value] = _run_payload(result, with_history)
-        payload["transform_check"] = {
-            "times": list(report.times),
-            "discrepancies": list(report.discrepancies),
-            "max_rel_discrepancy": report.max_rel_discrepancy,
-        }
+        payload["transform_check"] = dataclasses.asdict(report)
     else:
         form = solver.Form(cfg["form"])
         result = solver.run(form, params, grid, snapshot_times=times or (), collect_history=with_history)
@@ -347,7 +321,7 @@ def _cmd_sweep(cfg: dict) -> int:
         refinement_levels=cfg["refinement_levels"],
         form=solver.Form(cfg["form"]),
     )
-    result = experiments.sweep(spec, jobs=_jobs(cfg))
+    result = experiments.sweep(spec, jobs=cfg["jobs"])
     out = _out_dir(cfg)
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -372,7 +346,7 @@ def _cmd_sweep(cfg: dict) -> int:
     }
     if cfg["check_bound"]:
         bc = bound_engine.BoundConfig(params=base, delta=cfg["delta"], delta_m=cfg["delta_m"])
-        report = experiments.check_upper_bound(spec, bc, sweep_result=result)
+        report = experiments.check_upper_bound(spec, bc, result)
         summary["bound_check"] = {
             "rows": [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows],
             "delta_m": report.delta_m,
@@ -421,16 +395,7 @@ def _cmd_converge(cfg: dict) -> int:
         _params(cfg), _grid(cfg), levels=cfg["levels"], form=solver.Form(cfg["form"]), compare_time=cfg.get("compare_time")
     )
     out = _out_dir(cfg)
-    payload = {
-        "dr_values": list(report.dr_values),
-        "compare_time": report.compare_time,
-        "profile_errors": list(report.profile_errors),
-        "profile_orders": list(report.profile_orders),
-        "T_nums": list(report.T_nums),
-        "T_order": report.T_order,
-        "T_agreement": report.T_agreement,
-        "passed": report.passed,
-    }
+    payload = dataclasses.asdict(report)
     (out / "convergence.json").write_text(_json(payload), encoding="utf-8")
     _emit(payload)
     return 0

@@ -33,58 +33,43 @@ def _squarefree(D: int) -> tuple[int, int]:
     return s, q
 
 
-def _format_surd(A: int, B: int, q: int, C: int) -> str:
-    """Render (A + B*sqrt(q))/C with C > 0."""
-    if B == 0:
-        return str(Fraction(A, C))
-    root = f"√{q}"
-    if abs(B) != 1:
-        root = f"{abs(B)}{root}"
+def _format_surd(x: Fraction, y: Fraction, q: int) -> str:
+    """Render x + y*sqrt(q) as (A + B*sqrt(q))/C in lowest terms with C > 0,
+    or as the fraction x when y = 0."""
+    if y == 0:
+        return str(x)
+    C = math.lcm(x.denominator, y.denominator)
+    A, B = int(x * C), int(y * C)
+    root = f"√{q}" if abs(B) == 1 else f"{abs(B)}√{q}"
     if A == 0:
         num = root if B > 0 else f"-{root}"
     else:
         num = f"{A}{'+' if B > 0 else '-'}{root}"
-    if C == 1:
-        return num
-    return f"({num})/{C}"
+    return num if C == 1 else f"({num})/{C}"
 
 
 def exact_boundary_labels(n: int, mu: float) -> tuple[str | None, str | None]:
     """Exact-form strings (kbar0, p_S(n+mu)) when n + mu is an integer,
     else (None, None).
 
-    p_S(d) = ((d+1) + sqrt((d+1)^2 + 8(d-1))) / (2(d-1)) reduces to
-    (A + B sqrt(q))/C; kbar0 = 2/(p_S - 1) - mu/2 is rationalized in the
-    same radical field.
+    p_S(d) = ((d+1) + sqrt(D)) / (2(d-1)) with D = (d+1)^2 + 8(d-1) =
+    s^2 q, q squarefree, is x + y sqrt(q) with rational x and y (y = 0 when
+    D is a square, which happens only at d = 4).  kbar0 = 2/(p_S - 1) - mu/2
+    is computed in the same field by 1/(a + b sqrt(q)) = (a - b sqrt(q)) /
+    (a^2 - b^2 q).
     """
     if not float(mu).is_integer():
         return None, None
     d = n + int(mu)
     if d <= 1:
         return None, None
-    D = (d + 1) ** 2 + 8 * (d - 1)
-    s, q = _squarefree(D)
+    s, q = _squarefree((d + 1) ** 2 + 8 * (d - 1))
+    x, y = Fraction(d + 1, 2 * (d - 1)), Fraction(s, 2 * (d - 1))
     if q == 1:
-        ps = Fraction(d + 1 + s, 2 * (d - 1))
-        kb0 = 2 / (ps - 1) - Fraction(int(mu), 2)
-        return str(kb0), str(ps)
-
-    A, B, C = d + 1, s, 2 * (d - 1)
-    g = math.gcd(A, math.gcd(B, C))
-    A, B, C = A // g, B // g, C // g
-    ps_label = _format_surd(A, B, q, C)
-
-    # kbar0 = 2/(p_S - 1) - mu/2; rationalize 2C / ((A-C) + B sqrt(q))
-    E = (A - C) ** 2 - B * B * q
-    A2, B2, C2 = 2 * C * (A - C), -2 * C * B, E
-    if C2 < 0:
-        A2, B2, C2 = -A2, -B2, -C2
-    half_mu = Fraction(int(mu), 2)
-    fa, fc = half_mu.numerator, half_mu.denominator
-    A3, B3, C3 = A2 * fc - fa * C2, B2 * fc, C2 * fc
-    g = math.gcd(math.gcd(abs(A3), abs(B3)), C3)
-    A3, B3, C3 = A3 // g, B3 // g, C3 // g
-    return _format_surd(A3, B3, q, C3), ps_label
+        x, y = x + y, Fraction(0)
+    a = x - 1
+    norm = a * a - y * y * q
+    return _format_surd(2 * a / norm - Fraction(int(mu), 2), -2 * y / norm, q), _format_surd(x, y, q)
 
 
 _FILL = {

@@ -105,7 +105,9 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
 
     T_num is taken from the finest level; refinement_agreement is the
     relative change between the two finest levels.  Any eps that survives
-    t_max at any level leaves the result incomplete and flagged.
+    t_max at any level leaves the result incomplete and flagged.  `jobs`
+    worker processes run the solves (None: one per CPU; 1 or less: serially,
+    in this process).
     """
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
@@ -133,11 +135,9 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
             results[(i, level)] = _sweep_task(spec.form, params, grid)
 
     points = []
-    survived = []
     for i, eps in enumerate(spec.eps_values):
         levels = [results[(i, level)] for level in range(spec.refinement_levels)]
         if any(T is None for T in levels):
-            survived.append(eps)
             points.append(SweepPoint(eps=eps, T_num=None, refinement_agreement=None))
             continue
         T_fine = levels[-1]
@@ -146,29 +146,19 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
             agreement = abs(T_fine - levels[-2]) / T_fine
         points.append(SweepPoint(eps=eps, T_num=T_fine, refinement_agreement=agreement))
 
-    if survived:
-        return SweepResult(
-            points=tuple(points),
-            slope=math.nan,
-            intercept=math.nan,
-            r_squared=math.nan,
-            alpha_theory=alpha,
-            survived_eps=tuple(survived),
-            complete=False,
-            note="increase t_max or eps: some runs survived the time window",
-        )
-
-    eps_arr = np.array([pt.eps for pt in points])
-    T_arr = np.array([pt.T_num for pt in points])
-    slope, intercept, r2 = fit_power_law(eps_arr, T_arr)
+    survived = tuple(pt.eps for pt in points if pt.T_num is None)
+    slope = intercept = r2 = math.nan
+    if not survived:
+        slope, intercept, r2 = fit_power_law(np.array([pt.eps for pt in points]), np.array([pt.T_num for pt in points]))
     return SweepResult(
         points=tuple(points),
         slope=slope,
         intercept=intercept,
         r_squared=r2,
         alpha_theory=alpha,
-        survived_eps=(),
-        complete=True,
+        survived_eps=survived,
+        complete=not survived,
+        note="increase t_max or eps: some runs survived the time window" if survived else "",
     )
 
 
@@ -193,36 +183,23 @@ class BoundCheckReport:
     note: str = ""
 
 
-def check_upper_bound(
-    spec: SweepSpec,
-    cfg: BoundConfig,
-    sweep_result: SweepResult | None = None,
-    jobs: int | None = None,
-) -> BoundCheckReport:
-    """Assert T_num <= C eps^(-exponent) for every swept eps.
+def check_upper_bound(spec: SweepSpec, cfg: BoundConfig, sweep_result: SweepResult) -> BoundCheckReport:
+    """Assert T_num <= C eps^(-exponent) for every eps of `sweep_result`,
+    the result of `sweep(spec)`.
 
-    A bound below the first time step is flagged vacuous (unresolvable at
-    this resolution) but still compared.  Reuses `sweep_result` when the
-    sweep has already been run.
+    C and the exponent do not depend on eps, so one bound at the base
+    parameters serves every row.  A bound below the first time step is
+    flagged vacuous (unresolvable at this resolution) but still compared.
     """
-    if sweep_result is None:
-        sweep_result = sweep(spec, jobs=jobs)
+    bound = lifespan_upper_bound(dataclasses.replace(cfg, params=spec.params_base))
     rows = []
-    all_ok = True
     for pt in sweep_result.points:
-        cfg_eps = BoundConfig(
-            params=dataclasses.replace(spec.params_base, eps=pt.eps),
-            delta=cfg.delta,
-            delta_m=cfg.delta_m,
-        )
-        bound = lifespan_upper_bound(cfg_eps)
-        vacuous = bound.T_upper < spec.grid.dt
-        ok = pt.T_num is not None and pt.T_num <= bound.T_upper
-        all_ok = all_ok and ok
-        rows.append(BoundCheckRow(eps=pt.eps, T_num=pt.T_num, T_upper=bound.T_upper, ok=ok, vacuous=vacuous))
+        T_upper = bound.C * pt.eps ** (-bound.exponent)
+        ok = pt.T_num is not None and pt.T_num <= T_upper
+        rows.append(BoundCheckRow(eps=pt.eps, T_num=pt.T_num, T_upper=T_upper, ok=ok, vacuous=T_upper < spec.grid.dt))
     note = "bound vacuous at this resolution for some eps" if any(r.vacuous for r in rows) else ""
     return BoundCheckReport(
-        rows=tuple(rows), delta_m=cfg.delta_m, conditional=True, all_ok=all_ok, note=note
+        rows=tuple(rows), delta_m=cfg.delta_m, conditional=True, all_ok=all(r.ok for r in rows), note=note
     )
 
 

@@ -215,9 +215,7 @@ def _general_mu_case(n: int, p: float, mu: float) -> tuple[float, float, tuple[s
     k2 = min(n - 1.0, (n + mu - 1.0) * p / 2.0 - (mu + 2.0) / 2.0)
     cap_val = p_bar(n, mu)
     cap = (f"p < p_bar(n, mu) = {cap_val:.6g}", p < cap_val)
-    if n % 2 == 0:
-        if n < 4:
-            raise UncoveredCaseError(f"no encoded admissible range for even n = {n}")
+    if n % 2 == 0:  # n >= 4: M(2) = 2, so mu = 2 is n = 2's whole range
         k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0)
         return k1, k2, cap
     if n == 3:

@@ -249,9 +249,11 @@ def run(
     """March to t_max or to threshold crossing.
 
     `g` overrides the default velocity profile (used for reference data
-    such as compact bumps).  T_num is refined by linear interpolation of
-    the amplitude between the last two levels; a non-finite amplitude
-    reports the level where it appeared.
+    such as compact bumps); g(r) must have the shape of r.  Every level
+    from the first step on is tested: T_num is refined by linear
+    interpolation of the amplitude between the last level below
+    u_threshold (level 0 has amplitude 0) and the first at or above it; a
+    non-finite amplitude reports the level where it appeared.
     """
     limit = max_stable_cfl(params.n)
     if grid.cfl > limit * (1.0 + 1e-12):
@@ -267,23 +269,14 @@ def run(
     r = grid.radii()
     dt = grid.dt
     g_vals = np.asarray(g(r), dtype=float) if g is not None else initial_data(r, params)
+    if g_vals.shape != r.shape:
+        raise ConfigurationError(f"g(r) must have the shape {r.shape} of r, got {g_vals.shape}")
 
     pending = sorted(float(s) for s in snapshot_times)
     for s in pending:
         if not 0 <= s <= grid.t_max:  # also rejects NaN
             raise ConfigurationError(f"snapshot time {s} outside [0, t_max]")
     snapshots: list[Snapshot] = []
-
-    # two level buffers (the kernel overwrites level j-1 with level j+1) and |u|
-    # of the newest level: its amplitude, then the kernel's source term
-    kernel = _Leapfrog(form, params, grid)
-    # level 1 from u = 0, u_t = eps g: u_tt(0) vanishes in the u and free
-    # forms, and the damped form's v_tt(0) = -mu eps g gives the factor
-    u, up, au = dt * params.eps * g_vals, np.zeros_like(r), np.empty_like(r)
-    if form is Form.V:
-        u *= 1.0 - params.mu * dt / 2.0
-    t = dt
-    nc = causal_node_count(grid, t)
 
     def take_due_snapshots(t: float, level: np.ndarray, nc: int) -> None:
         # nearest-step semantics: fire once the step midpoint passes the
@@ -292,33 +285,34 @@ def run(
             pending.pop(0)
             snapshots.append(Snapshot(t=t, r=r[:nc].copy(), u=level[:nc].copy()))
 
-    take_due_snapshots(0.0, up, causal_node_count(grid, 0.0))  # up holds level 0, all zeros
-
-    amp = float(np.abs(u[:nc], au[:nc]).max())
-    history = [(t, amp)] if collect_history else []
-    take_due_snapshots(t, u, nc)
-
-    T_num, n_nodes = None, grid.n_nodes
+    # two level buffers (the kernel overwrites level j-1 with level j+1) and |u|
+    # of the newest level: its amplitude, then the kernel's source term
+    kernel = _Leapfrog(form, params, grid)
+    u, au = np.zeros_like(r), np.empty_like(r)  # level 0: u = 0, amplitude 0
+    t, amp, T_num, n_nodes, history = 0.0, 0.0, None, grid.n_nodes, []
+    take_due_snapshots(t, u, n_nodes)
     # |u|^p may overflow and inf - inf give NaN: reported below as a non-finite level
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(2, int(round(grid.t_max / dt)) + 1):
+        # level 1 from u = 0, u_t = eps g: u_tt(0) vanishes in the u and free
+        # forms, and the damped form's v_tt(0) = -mu eps g gives the factor
+        up = dt * params.eps * g_vals
+        if form is Form.V:
+            up *= 1.0 - params.mu * dt / 2.0
+        for j in range(1, int(round(grid.t_max / dt)) + 1):
             nc = max(n_nodes - j, 1)  # causal_node_count(grid, j dt), without the float rounding
-            kernel(u, up, t, nc, au)
+            if j > 1:
+                kernel(u, up, t, nc, au)
             u, up, t_prev, t = up, u, t, t + dt
             new_amp = float(np.abs(u[:nc], au[:nc]).max())
             if collect_history:
                 history.append((t, new_amp))
             if not math.isfinite(new_amp):
                 T_num = t
-            elif new_amp >= grid.u_threshold:
-                if math.isfinite(amp) and new_amp > amp:
-                    frac = (grid.u_threshold - amp) / (new_amp - amp)
-                    T_num = t_prev + min(max(frac, 0.0), 1.0) * dt
-                else:
-                    T_num = t
-            amp = new_amp
-            if T_num is not None:
                 break
+            if new_amp >= grid.u_threshold:  # amp < u_threshold <= new_amp
+                T_num = t_prev + (grid.u_threshold - amp) / (new_amp - amp) * dt
+                break
+            amp = new_amp
             if pending:
                 take_due_snapshots(t, u, nc)
 
@@ -350,7 +344,8 @@ def exact_free_wave_n3(t: float, r, g: Callable[[float], float], eps: float = 1.
 
     with the limit eps t g(t) at r = 0, by adaptive Gauss-Legendre
     quadrature over all radii at once to a relative tolerance of 1e-12
-    (ArithmeticError if s g(s) cannot be integrated to it); g maps a float
+    (ArithmeticError if s g(s) cannot be integrated to it, or if r = 0 is
+    requested and eps t g(t) is not finite); g maps a float
     to a float, t and r must be finite and >= 0.  The independent
     reference for convergence tests."""
     if not 0.0 <= t < math.inf:
@@ -360,7 +355,10 @@ def exact_free_wave_n3(t: float, r, g: Callable[[float], float], eps: float = 1.
     if not ok.all():
         raise ValueError(f"r must be finite and >= 0, got {radii[~ok][0]}")
     inner = radii != 0.0
-    out = np.full_like(radii, eps * t * g(t))
+    origin = eps * t * g(t)
+    if not (inner.all() or math.isfinite(origin)):
+        raise ArithmeticError(f"non-finite value eps t g(t) = {origin} at r = 0")
+    out = np.full_like(radii, origin)
 
     def sg(s: np.ndarray) -> np.ndarray:  # s g(s), one call of g per node
         return s * np.fromiter(map(g, s.ravel().tolist()), float, s.size).reshape(s.shape)

@@ -128,7 +128,7 @@ def test_criterion_4_iteration_step_quadrature_oracle():
             t = 1.0 + 9.0 * rng.random()
             r = t + max(2.0 * t / cfg.delta_m, cfg.delta) + 5.0 * rng.random()
             samples.append((t, r))
-        rep = verify_iteration_step(initial_state(cfg), samples, cfg, slack=1e-6)
+        rep = verify_iteration_step(initial_state(cfg), samples, cfg)
         assert rep.passed, f"(n,mu,p)=({n},{mu},{p}): worst ratio {rep.worst_ratio}"
         worst = min(worst, rep.worst_ratio)
     report(4, f"Duhamel lower-bound step holds at 60 region samples; worst ratio {worst:.3f}")
@@ -202,7 +202,7 @@ def test_criterion_8_upper_bound_consistency_undamped_case():
         form=Form.U,
     )
     cfg = BoundConfig(params=params, delta=1.0, delta_m=1.0)
-    rep = check_upper_bound(spec, cfg)
+    rep = check_upper_bound(spec, cfg, sweep(spec))
     assert rep.conditional is True  # explicitly conditional on delta_m
     assert rep.all_ok
     for row in rep.rows:

@@ -244,7 +244,7 @@ class TestLifespanUpperBound:
             cfg = random_valid_cfg(rng)
             bound = lifespan_upper_bound(cfg)
             alpha = lifespan_exponent(cfg.params)
-            assert abs(bound.exponent - alpha) <= 1e-12 * alpha
+            assert bound.exponent == alpha
 
     def test_eps_scaling_exact(self):
         b1 = lifespan_upper_bound(make_cfg(eps=1.0))
@@ -289,7 +289,7 @@ class TestLifespanUpperBound:
             bound = lifespan_upper_bound(BoundConfig(params=params))
         except OverflowError:  # C overflows near the Fujita curve, a known defect
             return
-        assert abs(bound.exponent - alpha) <= 1e-12 * alpha
+        assert bound.exponent == alpha
 
     def test_threshold_consistency_on_ray(self):
         # the smallest t > 1 on the ray with J > 0 sits within [0.5, 2] of T_upper

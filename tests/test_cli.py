@@ -418,26 +418,21 @@ class TestCommittedConfigs:
         assert (cfg["p"], cfg["kbar"], cfg["M"], cfg["r_max"], cfg["t_max"]) == (1.8, 0.5, 0.02, 500.0, 230.0)
 
 
-class TestJobsEnv:
-    def test_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLOWUPLAB_JOBS", "1")
-        code, out, _ = run_cli(
-            capsys,
+class TestJobs:
+    def test_jobs_below_two_run_serially(self, capsys, tmp_path):
+        # no pool: --jobs 0 and --jobs 1 take the same serial path
+        args = (
             "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
             "--eps-values", "5,7.5,11.25,16.875", "--dr", "0.1", "--r-max", "20",
-            "--t-max", "8", "--refinement-levels", "1", "--out", str(tmp_path / "sw"),
+            "--t-max", "8", "--refinement-levels", "1",
         )
-        assert code == 0
-
-    def test_non_integer_env_is_named(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLOWUPLAB_JOBS", "two")
-        code, _, err = run_cli(
-            capsys,
-            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
-            "--eps-values", "5,7.5,11.25,16.875", "--r-max", "20", "--t-max", "8", "--out", str(tmp_path / "sw"),
-        )
-        assert code == 2
-        assert "BLOWUPLAB_JOBS must be an integer, got 'two'" in err
+        outs = []
+        for jobs in ("0", "1"):
+            code, out, _ = run_cli(capsys, *args, "--jobs", jobs, "--out", str(tmp_path / jobs))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert (tmp_path / "0" / "sweep.csv").read_bytes() == (tmp_path / "1" / "sweep.csv").read_bytes()
 
 
 class TestHelp:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowuplab.bound_engine import BoundConfig
+from blowuplab.bound_engine import BoundConfig, lifespan_upper_bound
 from blowuplab.experiments import (
     SweepPoint,
     SweepResult,
@@ -126,12 +126,15 @@ class TestCheckUpperBound:
             eps_values=(2.0, 4.0, 6.0, 10.0),
             grid=GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7),
         )
-        report = check_upper_bound(spec, BoundConfig(params=params), jobs=1)
+        report = check_upper_bound(spec, BoundConfig(params=params), sweep(spec, jobs=1))
         assert report.conditional is True
         assert report.delta_m == 1.0
         assert report.all_ok
         for row in report.rows:
             assert row.T_num <= row.T_upper
+            # one bound serves every eps: each row is the per-eps bound, bitwise
+            bound = lifespan_upper_bound(BoundConfig(params=dataclasses.replace(params, eps=row.eps)))
+            assert row.T_upper == bound.T_upper
 
     def test_vacuous_bound_flagged(self):
         # fabricated sweep output: a bound below the first time step is

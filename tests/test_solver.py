@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import signal
 from dataclasses import replace
 
@@ -192,6 +193,29 @@ class TestRun:
         assert res.T_num is None
         assert res.t_end == pytest.approx(grid.t_max, abs=2 * grid.dt)
 
+    def test_non_finite_first_step_stops_there(self):
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
+        for form in (Form.U, Form.V):
+            res = run(form, BLOWUP_PARAMS, grid, g=lambda r: np.full_like(r, np.inf))
+            assert res.outcome == "BlewUp"
+            assert res.T_num == res.t_end == grid.dt
+            assert len(res.amplitude_history) == 1
+
+    def test_threshold_below_the_first_step_interpolates_from_level_0(self):
+        # level 1 is dt eps g = 0.07 * 10 * 1 = 0.7 > u_threshold, level 0 is 0
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7, u_threshold=0.5)
+        res = run(Form.U, replace(BLOWUP_PARAMS, eps=10.0), grid, g=np.ones_like)
+        amp1 = res.amplitude_history[-1, 1]
+        assert len(res.amplitude_history) == 1 and amp1 == pytest.approx(0.7, rel=1e-14)
+        assert res.T_num == 0.5 / amp1 * grid.dt
+        assert res.T_num == pytest.approx(0.05, rel=1e-14)
+
+    @pytest.mark.parametrize("g, shape", [(lambda r: 1.0, "()"), (lambda r: r[:5], "(5,)")], ids=["scalar", "short"])
+    def test_g_of_the_wrong_shape_is_named(self, g, shape):
+        grid = GridSpec(dr=0.1, r_max=8.0, t_max=3.0, cfl=0.7)
+        with pytest.raises(ConfigurationError, match=re.escape(f"g(r) must have the shape (81,) of r, got {shape}")):
+            run(Form.U, BLOWUP_PARAMS, grid, g=g)
+
     def test_snapshot_validation(self):
         grid = GridSpec(dr=0.1, r_max=8.0, t_max=3.0, cfl=0.7)
         with pytest.raises(ConfigurationError):
@@ -293,6 +317,12 @@ class TestFreeWaveAccuracy:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, [0.5, 0.0]])
+    def test_quadrature_oracle_raises_on_non_finite_g_at_every_radius(self, r):
+        # at r = 0 the value is the limit eps t g(t), not a quadrature
+        with pytest.raises(ArithmeticError):
+            exact_free_wave_n3(1.0, r, lambda s: math.nan)
 
     @pytest.mark.parametrize(
         "g",
