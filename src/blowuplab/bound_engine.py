@@ -97,10 +97,12 @@ class BoundConfig:
     delta_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if not self.delta_m > 0:
-            raise ValueError(f"delta_m must be > 0, got {self.delta_m}")
+        for name in ("delta", "delta_m"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,10 @@ class IterationState:
 
 @dataclass(frozen=True)
 class IterationConstants:
-    """Derived constants of the iteration: K, the series limit S_limit,
-    and log C0."""
+    """Derived constants of the iteration: K and the series limit S_limit."""
 
     K: float
     S_limit: float
-    logC0: float
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def derive_K(cfg: BoundConfig) -> IterationConstants:
     K = min(1.0 / (scale * (A + (p * B + 2.0) / p) ** 2), 1.0 / (scale * A * A))
     x = 1.0 / p
     S = math.log(p * p) * x / (1.0 - x) ** 2 - math.log(K) * x / (1.0 - x)
-    return IterationConstants(K=K, S_limit=S, logC0=seed_constant(cfg))
+    return IterationConstants(K=K, S_limit=S)
 
 
 def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float:
@@ -226,7 +226,7 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
         raise ValueError(f"J requires r > 0, got {r}")
     P = cfg.params
     A, _ = _growth_coefficients(cfg)
-    return consts.logC0 - consts.S_limit + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
+    return seed_constant(cfg) - consts.S_limit + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
 
 
 def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:

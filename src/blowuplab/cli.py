@@ -55,11 +55,10 @@ def _choice(*words: str):
 # option registry: dest -> (type, default, help); argparse defaults stay None
 # so config-file values can slot under explicit flags.  A default that a
 # dataclass field also has is read from the class.  REQUIRED marks
-# options that must come from a flag or the config file; OPTIONAL marks
-# options whose absence is meaningful.
+# options that must come from a flag or the config file; a None default
+# marks options whose absence is meaningful.
 
 REQUIRED = object()
-OPTIONAL = object()
 
 _MODEL_OPTS = {
     "n": (int, REQUIRED, "space dimension (integer >= 2); required"),
@@ -91,7 +90,7 @@ def _add_opts(parser: argparse.ArgumentParser, opts: dict) -> None:
         if typ is bool:
             parser.add_argument(flag, dest=dest, action="store_true", default=None, help=help_text)
         else:
-            shown = "" if default in (REQUIRED, OPTIONAL) else f" [default: {default}]"
+            shown = "" if default in (REQUIRED, None) else f" [default: {default}]"
             parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text + shown)
 
 
@@ -131,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "eps_values": (_float_list, REQUIRED, "comma-separated eps grid, strictly increasing, >= 4 values; required"),
         "refinement_levels": (int, 2, "mesh refinement levels per eps (T_num from the finest)"),
         "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
-        "jobs": (int, OPTIONAL, "worker pool size; 1 or less runs serially [default: cpu count]"),
+        "jobs": (int, None, "worker pool size; 1 or less runs serially [default: cpu count]"),
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
         "delta": _BOUND_OPTS["delta"],
         "delta_m": _BOUND_OPTS["delta_m"],
@@ -156,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **_MODEL_OPTS,
         **_GRID_OPTS,
         "levels": (int, 3, "number of refinement levels (>= 3)"),
-        "compare_time": (float, OPTIONAL, "profile comparison time [default: t_max / 2]"),
+        "compare_time": (float, None, "profile comparison time [default: t_max / 2]"),
         "form": (_choice("u", "v", "free"), "u", "solution form: u, v, or free"),
     }
     new_cmd("converge", "mesh refinement study (observed order)", conv_opts, _cmd_converge)
@@ -197,9 +196,6 @@ def _merge(args: argparse.Namespace) -> dict:
     missing = [dest for dest, value in merged.items() if value is REQUIRED]
     if missing:
         raise ValueError("missing required option(s): " + ", ".join("--" + m.replace("_", "-") for m in sorted(missing)))
-    for dest, value in merged.items():
-        if value is OPTIONAL:
-            merged[dest] = None
     if getattr(args, "with_out", False):
         merged["out"] = args.out if args.out is not None else "out"
     return merged
@@ -241,7 +237,7 @@ def _cmd_bound(cfg: dict) -> int:
     bound = bound_engine.lifespan_upper_bound(bc)
     _emit(
         {
-            "C0": math.exp(bound.constants.logC0),
+            "C0": math.exp(bound_engine.seed_constant(bc)),
             "K": bound.constants.K,
             "S_limit": bound.constants.S_limit,
             "C": bound.C,
@@ -333,7 +329,7 @@ def _cmd_sweep(cfg: dict) -> int:
 
     alpha = result.alpha_theory
     slope_ok = math.isfinite(result.slope) and abs(result.slope + alpha) / alpha <= 0.25
-    fit_ok = result.complete and slope_ok and result.r_squared >= 0.95
+    fit_ok = not result.survived_eps and slope_ok and result.r_squared >= 0.95
     summary = {
         "slope": result.slope,
         "intercept": result.intercept,
@@ -368,6 +364,7 @@ def _cmd_atlas(cfg: dict) -> int:
         k_grid=(cfg["kbar_min"], cfg["kbar_max"], cfg["kbar_count"]),
         p_grid=(cfg["p_min"], cfg["p_max"], cfg["p_count"]),
     )
+    kbar0, p_strauss = exponents.kbar_zero(cfg["n"], cfg["mu"]), exponents.strauss(cfg["n"] + cfg["mu"])
     out = _out_dir(cfg)
     files = []
     if cfg["format"] in ("csv", "both"):
@@ -379,9 +376,9 @@ def _cmd_atlas(cfg: dict) -> int:
     kb_label, ps_label = diagram.exact_boundary_labels(cfg["n"], cfg["mu"])
     _emit(
         {
-            "kbar0": result.kbar0,
+            "kbar0": kbar0,
             "kbar0_exact": kb_label,
-            "p_strauss": result.p_strauss,
+            "p_strauss": p_strauss,
             "p_strauss_exact": ps_label,
             "counts": result.verdict_counts(),
             "files": files,
@@ -392,7 +389,7 @@ def _cmd_atlas(cfg: dict) -> int:
 
 def _cmd_converge(cfg: dict) -> int:
     report = experiments.convergence_study(
-        _params(cfg), _grid(cfg), levels=cfg["levels"], form=solver.Form(cfg["form"]), compare_time=cfg.get("compare_time")
+        _params(cfg), _grid(cfg), levels=cfg["levels"], form=solver.Form(cfg["form"]), compare_time=cfg["compare_time"]
     )
     out = _out_dir(cfg)
     payload = dataclasses.asdict(report)

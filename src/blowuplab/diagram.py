@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import AtlasResult, Verdict
+from .exponents import AtlasResult, Verdict, kbar_zero, strauss
 
 __all__ = ["exact_boundary_labels", "write_atlas_svg"]
 
@@ -81,17 +81,19 @@ _FILL = {
 def write_atlas_svg(result: AtlasResult, target) -> None:
     """Write the region diagram as a standalone 720 x 540 SVG file (no
     timestamps: repeated emission is byte-identical)."""
+    # raises for n + mu <= 1, before any file is opened
+    kbar0, p_strauss = kbar_zero(result.n, result.mu), strauss(result.n + result.mu)
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
-        for chunk in _render(result):
+        for chunk in _render(result, kbar0, p_strauss):
             fh.write(chunk)
     finally:
         if own:
             fh.close()
 
 
-def _render(res: AtlasResult) -> Iterator[str]:
+def _render(res: AtlasResult, kbar0: float, p_strauss: float) -> Iterator[str]:
     """Yield the SVG: the header, one chunk per kbar column, then the rest."""
     W, H, ML, MR, MT, MB = 720, 540, 84, 26, 28, 58
     pw, ph = W - ML - MR, H - MT - MB
@@ -129,10 +131,11 @@ def _render(res: AtlasResult) -> Iterator[str]:
     out = ["</g>"]
 
     # boundary curves
-    out.append(_polyline(res.fujita_curve, X, Y, p_lo, p_hi, "#15257d", 2.0))
-    out.append(_polyline(res.existence_line, X, Y, p_lo, p_hi, "#15257d", 1.4, dash="6 4"))
-    if p_lo <= res.p_strauss <= p_hi:
-        y = Y(res.p_strauss)
+    fujita_curve, existence_line = _boundary_curves(res.n, res.mu, k_lo, k_hi)
+    out.append(_polyline(fujita_curve, X, Y, p_lo, p_hi, "#15257d", 2.0))
+    out.append(_polyline(existence_line, X, Y, p_lo, p_hi, "#15257d", 1.4, dash="6 4"))
+    if p_lo <= p_strauss <= p_hi:
+        y = Y(p_strauss)
         out.append(
             f'<line x1="{ML}" y1="{y:.2f}" x2="{ML + pw}" y2="{y:.2f}" '
             f'stroke="#b1221c" stroke-width="1.4"/>'
@@ -140,19 +143,15 @@ def _render(res: AtlasResult) -> Iterator[str]:
 
     # intersection marker, guides, annotations
     kb_label, ps_label = exact_boundary_labels(res.n, res.mu)
-    if k_lo <= res.kbar0 <= k_hi and p_lo <= res.p_strauss <= p_hi:
-        cx, cy = X(res.kbar0), Y(res.p_strauss)
+    if k_lo <= kbar0 <= k_hi and p_lo <= p_strauss <= p_hi:
+        cx, cy = X(kbar0), Y(p_strauss)
         out.append(
             f'<line x1="{cx:.2f}" y1="{cy:.2f}" x2="{cx:.2f}" y2="{MT + ph}" '
             f'stroke="#555" stroke-width="1" stroke-dasharray="2 3"/>'
         )
         out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#15257d"/>')
-    kb_text = f"k̄0 = {res.kbar0:.6f}" if kb_label is None else f"k̄0 = {kb_label} ≈ {res.kbar0:.6f}"
-    ps_text = (
-        f"p_S = {res.p_strauss:.6f}"
-        if ps_label is None
-        else f"p_S = {ps_label} ≈ {res.p_strauss:.6f}"
-    )
+    kb_text = f"k̄0 = {kbar0:.6f}" if kb_label is None else f"k̄0 = {kb_label} ≈ {kbar0:.6f}"
+    ps_text = f"p_S = {p_strauss:.6f}" if ps_label is None else f"p_S = {ps_label} ≈ {p_strauss:.6f}"
     out.append(f'<text x="{ML + 10}" y="{MT + 18}" font-size="14" font-family="sans-serif">{kb_text}</text>')
     out.append(f'<text x="{ML + 10}" y="{MT + 36}" font-size="14" font-family="sans-serif">{ps_text}</text>')
 
@@ -203,10 +202,26 @@ def _edges(values: np.ndarray) -> np.ndarray:
     return np.concatenate([[first], mids, [last]])
 
 
+_CURVE_SAMPLES = 512  # points per boundary curve
+
+
+def _boundary_curves(n: int, mu: float, k_lo: float, k_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kbar, p) samples of p = p_F(kbar + mu/2) and of the straight
+    existence boundary p = (2 kbar + mu + 2)/(n + mu - 1) over [k_lo, k_hi];
+    they meet at (kbar0, p_S(n + mu))."""
+    # Fujita curve only exists where kbar + mu/2 > 0.
+    curve_lo = max(k_lo, -mu / 2.0 + 1e-9 * max(1.0, abs(mu / 2.0)))
+    if curve_lo < k_hi:
+        ks = np.linspace(curve_lo, k_hi, _CURVE_SAMPLES)
+        fujita_curve = np.column_stack([ks, 1.0 + 2.0 / (ks + mu / 2.0)])
+    else:
+        fujita_curve = np.empty((0, 2))
+    ks = np.linspace(k_lo, k_hi, _CURVE_SAMPLES)
+    return fujita_curve, np.column_stack([ks, (2.0 * ks + mu + 2.0) / (n + mu - 1.0)])
+
+
 def _polyline(curve: np.ndarray, X, Y, p_lo: float, p_hi: float, color: str, width: float, dash: str | None = None) -> str:
-    if curve.size == 0:
-        return ""
-    pts = [(X(k), Y(min(max(p, p_lo), p_hi))) for k, p in curve if p_lo <= p <= p_hi]
+    pts = [(X(k), Y(p)) for k, p in curve if p_lo <= p <= p_hi]
     if len(pts) < 2:
         return ""
     path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)

@@ -76,7 +76,6 @@ class SweepResult:
     r_squared: float
     alpha_theory: float
     survived_eps: tuple[float, ...]
-    complete: bool
     note: str = ""
 
 
@@ -94,9 +93,8 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _sweep_task(form: Form, params: ModelParams, grid: GridSpec) -> float | None:
-    result = run(form, params, grid, collect_history=False)
-    return result.T_num
+def _sweep_task(task: tuple[Form, ModelParams, GridSpec]) -> float | None:
+    return run(*task, collect_history=False).T_num
 
 
 def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
@@ -113,26 +111,20 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
 
     # longest first (finest level, then ascending eps) so no worker idles
-    tasks = []
+    keys, tasks = [], []
     for level in reversed(range(spec.refinement_levels)):
         grid = spec.grid.refined(2**level)
         for i, eps in enumerate(spec.eps_values):
-            tasks.append((i, level, dataclasses.replace(base, eps=eps), grid))
+            keys.append((i, level))
+            tasks.append((spec.form, dataclasses.replace(base, eps=eps), grid))
 
     if jobs is None:
         jobs = max(1, os.cpu_count() or 1)
-    results: dict[tuple[int, int], float | None] = {}
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = {
-                (i, level): pool.submit(_sweep_task, spec.form, params, grid)
-                for i, level, params, grid in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            results = dict(zip(keys, pool.map(_sweep_task, tasks)))
     else:
-        for i, level, params, grid in tasks:
-            results[(i, level)] = _sweep_task(spec.form, params, grid)
+        results = dict(zip(keys, map(_sweep_task, tasks)))
 
     points = []
     for i, eps in enumerate(spec.eps_values):
@@ -157,7 +149,6 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
         r_squared=r2,
         alpha_theory=alpha,
         survived_eps=survived,
-        complete=not survived,
         note="increase t_max or eps: some runs survived the time window" if survived else "",
     )
 
@@ -238,6 +229,8 @@ def convergence_study(
     t_c = 0.5 * grid.t_max if compare_time is None else compare_time
     if not math.isfinite(t_c):
         raise ValueError(f"compare_time must be finite, got {t_c}")
+    if not t_c > 0:
+        raise ValueError(f"compare_time must be > 0, got {t_c}")
     n0 = max(1, int(round(t_c / dt0)))
     t_c = n0 * dt0
     if t_c > grid.t_max:
@@ -272,9 +265,8 @@ def convergence_study(
     T_nums = tuple(res.T_num for res in runs)
     T_order = None
     T_agreement = None
-    finite_T = [T for T in T_nums if T is not None]
-    if len(finite_T) == levels:
-        d1 = abs(T_nums[-2] - T_nums[-3]) if levels >= 3 else None
+    if None not in T_nums:
+        d1 = abs(T_nums[-2] - T_nums[-3])
         d2 = abs(T_nums[-1] - T_nums[-2])
         if d1 and d2 > 0:
             T_order = math.log2(d1 / d2)

@@ -20,8 +20,7 @@ critical powers organize the (kbar, p) plane:
 The two curves p = p_F(kbar + mu/2) and p = (2 kbar + mu + 2)/(n + mu - 1)
 meet at (kbar0, p_S(n + mu)); `kbar_zero` computes that abscissa.
 `classify` turns one parameter point into a verdict, `atlas` samples a
-whole rectangle and carries the exact boundary data needed to draw the
-region diagram.
+whole rectangle.
 """
 
 from __future__ import annotations
@@ -215,17 +214,11 @@ def _general_mu_case(n: int, p: float, mu: float) -> tuple[float, float, tuple[s
     k2 = min(n - 1.0, (n + mu - 1.0) * p / 2.0 - (mu + 2.0) / 2.0)
     cap_val = p_bar(n, mu)
     cap = (f"p < p_bar(n, mu) = {cap_val:.6g}", p < cap_val)
-    if n % 2 == 0:  # n >= 4: M(2) = 2, so mu = 2 is n = 2's whole range
-        k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0)
-        return k1, k2, cap
-    if n == 3:
-        k1 = max(1.0, 2.0 / (p - 1.0) - mu / 2.0, 1.0 / (p - 1.0))
-        return k1, k2, cap
-    # odd n >= 5: the slow-decay guard 1/(p-1) joins only for large damping
-    if mu <= n - 1.0:
-        k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0)
-    else:
-        k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0, 1.0 / (p - 1.0))
+    k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0)
+    # odd n: the slow-decay guard 1/(p-1) joins for damping above n - 1,
+    # which at n = 3 is every mu that reaches here (mu = 2 is _mu2_case)
+    if n % 2 == 1 and mu > n - 1.0:
+        k1 = max(k1, 1.0 / (p - 1.0))
     return k1, k2, cap
 
 
@@ -316,55 +309,33 @@ def classify(params: ModelParams) -> RegionVerdict:
     p, mu, nu, kbar, n = params.p, params.mu, params.nu, params.kbar, params.n
     h = kbar + mu / 2.0
     nu_crit = 0.25 * mu * (mu - 2.0)
-    ge_failed = []
-    ge_active = []
-    if nu == nu_crit and nu_crit >= 0.0:
-        ge_active.append("nu = (mu/2)(mu/2 - 1) >= 0")
-    else:
-        ge_failed.append("nu = (mu/2)(mu/2 - 1) >= 0")
-    if 2.0 <= mu <= mu_max(n):
-        ge_active.append("2 <= mu <= M(n)")
-    else:
-        ge_failed.append("2 <= mu <= M(n)")
-    if not ge_failed:
+    # global-existence conditions, label -> holds, in the order they are reported
+    mass_ok = nu == nu_crit and nu_crit >= 0.0
+    damping_ok = 2.0 <= mu <= mu_max(n)
+    ge = {"nu = (mu/2)(mu/2 - 1) >= 0": mass_ok, "2 <= mu <= M(n)": damping_ok}
+    if mass_ok and damping_ok:
         try:
             k1, k2, cap = _case_with_cap(n, p, mu)
         except UncoveredCaseError:
-            ge_failed.append("documented (n, mu) case")
+            ge["documented (n, mu) case"] = False
         else:
-            k_eff = min(kbar, k2)
             if kbar > k2:
-                ge_active.append("kbar > k2: reduced to k2")
-            if k_eff >= k1:
-                ge_active.append("kbar >= k1(n, p, mu)")
-            else:
-                ge_failed.append("kbar >= k1(n, p, mu)")
-            if p > strauss(n + mu):
-                ge_active.append("p > p_S(n + mu)")
-            else:
-                ge_failed.append("p > p_S(n + mu)")
-            if h > 0 and p > fujita(h):
-                ge_active.append("p > p_F(kbar + mu/2)")
-            else:
-                ge_failed.append("p > p_F(kbar + mu/2)")
+                ge["kbar > k2: reduced to k2"] = True
+            ge["kbar >= k1(n, p, mu)"] = min(kbar, k2) >= k1
+            ge["p > p_S(n + mu)"] = p > strauss(n + mu)
+            ge["p > p_F(kbar + mu/2)"] = h > 0 and p > fujita(h)
             if cap is not None:
-                label, ok = cap
-                (ge_active if ok else ge_failed).append(label)
-    if not ge_failed:
-        return RegionVerdict(
-            kind=Verdict.GLOBAL_EXISTENCE,
-            lifespan_exponent=None,
-            active_constraints=tuple(ge_active),
-        )
+                ge.update([cap])
+    if all(ge.values()):
+        return RegionVerdict(kind=Verdict.GLOBAL_EXISTENCE, lifespan_exponent=None, active_constraints=tuple(ge))
 
     blocked = tuple(f"no blow-up: {c}" for c in t1_failed) + tuple(
-        f"no global existence: {c}" for c in ge_failed
+        f"no global existence: {c}" for c, holds in ge.items() if not holds
     )
     return RegionVerdict(kind=Verdict.UNKNOWN, lifespan_exponent=None, active_constraints=blocked)
 
 
 GridLike = Union[Sequence[float], tuple[float, float, int], np.ndarray]
-_CURVE_SAMPLES = 512  # points per boundary curve of an atlas
 
 
 def _as_grid(spec: GridLike, name: str) -> np.ndarray:
@@ -385,13 +356,10 @@ def _as_grid(spec: GridLike, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AtlasResult:
-    """Verdict grid over a (kbar, p) rectangle plus exact boundary data.
+    """Verdict grid over a (kbar, p) rectangle.
 
     verdicts[i, j] classifies (kbar_values[i], p_values[j]); alphas holds
-    the lifespan exponent at blow-up nodes and NaN elsewhere.  The curve
-    arrays sample p = p_F(kbar + mu/2) and the straight existence boundary
-    p = (2 kbar + mu + 2)/(n + mu - 1); (kbar0, p_strauss) is their exact
-    intersection.
+    the lifespan exponent at blow-up nodes and NaN elsewhere.
     """
 
     n: int
@@ -401,10 +369,6 @@ class AtlasResult:
     p_values: np.ndarray
     verdicts: np.ndarray
     alphas: np.ndarray
-    kbar0: float
-    p_strauss: float
-    fujita_curve: np.ndarray
-    existence_line: np.ndarray
 
     def verdict_counts(self) -> dict[str, int]:
         flat = self.verdicts.ravel()
@@ -429,8 +393,7 @@ class AtlasResult:
 
 
 def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> AtlasResult:
-    """Classify every node of a (kbar, p) grid and attach the boundary
-    curves, each sampled at a fixed 512 points.
+    """Classify every node of a (kbar, p) grid.
 
     Grid nodes must satisfy kbar > -1 and p > 1 (parameter domain).
     """
@@ -450,21 +413,6 @@ def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> A
             if v.lifespan_exponent is not None:
                 alphas[i, j] = v.lifespan_exponent
 
-    kbar0 = kbar_zero(n, mu)
-    p_strauss = strauss(n + mu)
-
-    # Fujita curve only exists where kbar + mu/2 > 0.
-    k_lo = float(kbar_values.min())
-    k_hi = float(kbar_values.max())
-    curve_lo = max(k_lo, -mu / 2.0 + 1e-9 * max(1.0, abs(mu / 2.0)))
-    if curve_lo < k_hi:
-        ks = np.linspace(curve_lo, k_hi, _CURVE_SAMPLES)
-        fujita_curve = np.column_stack([ks, 1.0 + 2.0 / (ks + mu / 2.0)])
-    else:
-        fujita_curve = np.empty((0, 2))
-    ks = np.linspace(k_lo, k_hi, _CURVE_SAMPLES)
-    existence_line = np.column_stack([ks, (2.0 * ks + mu + 2.0) / (n + mu - 1.0)])
-
     return AtlasResult(
         n=n,
         mu=mu,
@@ -473,8 +421,4 @@ def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> A
         p_values=p_values,
         verdicts=verdicts,
         alphas=alphas,
-        kbar0=kbar0,
-        p_strauss=p_strauss,
-        fujita_curve=fujita_curve,
-        existence_line=existence_line,
     )

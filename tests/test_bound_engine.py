@@ -191,7 +191,7 @@ class TestDeriveK:
         state = initial_state(cfg)
         for k in range(1, 31):
             state = iterate(state, cfg)
-            rhs = cfg.params.p**k * (consts.logC0 - consts.S_limit)
+            rhs = cfg.params.p**k * (seed_constant(cfg) - consts.S_limit)
             assert state.logC >= rhs - 1e-9 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize("p", [1.1, 1.01, 1.001])

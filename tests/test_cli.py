@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blowuplab import solver
-from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound
+from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound, seed_constant
 from blowuplab.cli import _build_parser, _merge, main
 from blowuplab.exponents import ModelParams
 
@@ -84,7 +84,7 @@ class TestBound:
         bound = lifespan_upper_bound(cfg)
         assert bound.constants == derive_K(cfg)
         consts = bound.constants
-        assert (payload["K"], payload["S_limit"], payload["C0"]) == (consts.K, consts.S_limit, math.exp(consts.logC0))
+        assert (payload["K"], payload["S_limit"], payload["C0"]) == (consts.K, consts.S_limit, math.exp(seed_constant(cfg)))
         assert (payload["C"], payload["T_upper"]) == (bound.C, bound.T_upper)
 
     def test_precondition_exit_code(self, capsys):
@@ -93,6 +93,16 @@ class TestBound:
         )
         assert code == 2
         assert "kbar" in err
+
+    @pytest.mark.parametrize("flag, name", [("--delta", "delta"), ("--delta-m", "delta_m")])
+    def test_infinite_region_constant_rejected(self, capsys, flag, name):
+        # an infinite delta gave "C": NaN and an infinite delta_m "C": Infinity, both not JSON
+        code, out, err = run_cli(
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2", flag, "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite, got inf" in err
 
 
 class TestAtlas:

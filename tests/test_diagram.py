@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from blowuplab.diagram import _FILL, _edges, exact_boundary_labels, write_atlas_svg
-from blowuplab.exponents import atlas
+from blowuplab.exponents import atlas, strauss
 
 CELLS_OPEN = '<g opacity="0.55">\n'
 CELLS_CLOSE = "</g>\n"
@@ -113,10 +113,18 @@ def test_cases_cover_the_edge_shapes():
     no_labels = atlas(*CASES[1].values[0])
     assert "√" not in reference_svg(no_labels)
     no_ps = atlas(*CASES[3].values[0])
-    assert not no_ps.p_values.min() <= no_ps.p_strauss <= no_ps.p_values.max()
+    assert not no_ps.p_values.min() <= strauss(no_ps.n + no_ps.mu) <= no_ps.p_values.max()
     mixed = atlas(*CASES[4].values[0])
     drawn = [any(v in _FILL for v in column) for column in mixed.verdicts]
     assert any(drawn) and not all(drawn)
+
+
+def test_svg_without_p_strauss_creates_no_file(tmp_path):
+    # n + mu <= 1 has no p_S to draw: the writer raises before it opens the file
+    res = atlas(2, -1.5, 0.0, (-0.5, 1.0, 3), (1.5, 2.0, 3))
+    with pytest.raises(ValueError, match=r"n \+ mu > 1"):
+        write_atlas_svg(res, tmp_path / "atlas.svg")
+    assert not (tmp_path / "atlas.svg").exists()
 
 
 def test_writers_stream_one_column_at_a_time(tmp_path):

@@ -75,7 +75,6 @@ class TestSweepSpec:
 class TestSweep:
     def test_all_points_blow_up_and_fit(self):
         result = sweep(fast_spec(), jobs=1)
-        assert result.complete
         assert result.survived_eps == ()
         assert all(pt.T_num is not None for pt in result.points)
         assert result.slope < 0
@@ -112,7 +111,6 @@ class TestSweep:
             grid=short,
         )
         result = sweep(spec, jobs=1)
-        assert not result.complete
         assert len(result.survived_eps) == 4
         assert math.isnan(result.slope)
         assert "increase t_max or eps" in result.note
@@ -158,7 +156,6 @@ class TestCheckUpperBound:
             r_squared=0.99,
             alpha_theory=2.0 / 3.0,
             survived_eps=(),
-            complete=True,
         )
         report = check_upper_bound(spec, BoundConfig(params=params), sweep_result=fake)
         assert report.rows[-1].vacuous
@@ -183,6 +180,12 @@ class TestConvergenceStudy:
         a = convergence_study(params, grid, levels=3, form=Form.FREE)
         b = convergence_study(params, grid, levels=3, form=Form.FREE)
         assert a == b
+
+    @pytest.mark.parametrize("compare_time", [-5.0, 0.0])
+    def test_nonpositive_compare_time_rejected(self, compare_time):
+        # -5 used to snap to one coarse step and pass at t = dt
+        with pytest.raises(ValueError, match=f"compare_time must be > 0, got {compare_time}"):
+            convergence_study(FAST_PARAMS, FAST_GRID, levels=3, compare_time=compare_time)
 
     def test_blow_up_before_compare_time_guides(self):
         grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)

@@ -189,6 +189,20 @@ class TestAdmissibleRange:
         assert k1 == pytest.approx(20.0 / 9.0, rel=1e-14)
         assert k2 == pytest.approx(3.025, rel=1e-14)  # min(4, 9p/2 - 7/2)
 
+    def test_general_mu_even_above_n_minus_1_has_no_guard(self):
+        # n = 4, mu = 4 > n - 1: k1 = max(3/2, 2/0.6 - 2) = 3/2; the odd-n
+        # guard 1/(p-1) = 5/3 must not join.  k2 = min(3, 7p/2 - 3) = 13/5
+        k1, k2 = admissible_range(4, 1.6, 4.0)
+        assert k1 == 1.5
+        assert k2 == pytest.approx(2.6, rel=1e-14)
+
+    def test_general_mu_n3_guard_decides(self):
+        # k1 = max(1, 2/0.8 - 3/2, 1/0.8) = max(1, 1, 5/4) = 5/4,
+        # k2 = min(2, 5p/2 - 5/2) = min(2, 2) = 2
+        k1, k2 = admissible_range(3, 1.8, 3.0)
+        assert k1 == pytest.approx(1.25, rel=1e-14)
+        assert k2 == pytest.approx(2.0, rel=1e-14)
+
 
 def _alt_exponent(p, mu, kbar):
     # kbar + mu/2 grouped first: subtracting mu/2 and then kbar loses digits
@@ -395,8 +409,8 @@ class TestAtlas:
 
     def test_boundary_point(self):
         res = atlas(3, 2.0, 0.0, (-0.5, 4.0, 10), (1.05, 3.5, 10))
-        assert res.kbar0 == pytest.approx((-1.0 + SQRT17) / 2.0, abs=1e-12)
-        assert res.p_strauss == pytest.approx((3.0 + SQRT17) / 4.0, abs=1e-12)
+        assert kbar_zero(res.n, res.mu) == pytest.approx((-1.0 + SQRT17) / 2.0, abs=1e-12)
+        assert strauss(res.n + res.mu) == pytest.approx((3.0 + SQRT17) / 4.0, abs=1e-12)
 
     def test_nodes_hugging_curve_blow_up(self):
         ks = np.linspace(0.2, 3.0, 40)

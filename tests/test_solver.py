@@ -602,7 +602,7 @@ class TestTransformCheck:
     def test_no_common_snapshot_rejected(self):
         grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
         runs = [run(form, BLOWUP_PARAMS, grid, snapshot_times=[9.9]) for form in (Form.U, Form.V)]
-        assert runs[0].blew_up and not runs[0].snapshots
+        assert runs[0].outcome == "BlewUp" and not runs[0].snapshots
         with pytest.raises(ValueError, match="no common snapshots"):
             compare_forms(*runs)
 
