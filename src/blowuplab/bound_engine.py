@@ -237,14 +237,22 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
 
     Preconditions: the hypotheses of `classify`'s BlowUpTheorem1.  eps/C0
     is the eps-free 1/(2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)),
-    so C does not depend on eps.
+    so C does not depend on eps.  A T_upper beyond the float range raises
+    OverflowError naming log T_upper.
     """
     P = cfg.params
     exponent = lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
     consts = derive_K(cfg)
     log_inner = consts.S_limit - _log_seed_factor(cfg) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m)
-    C = math.exp(exponent * log_inner)
-    return LifespanBound(C=C, exponent=exponent, T_upper=C * P.eps ** (-exponent), constants=consts)
+    try:
+        C = math.exp(exponent * log_inner)
+        T_upper = C * P.eps ** (-exponent)
+    except OverflowError:
+        T_upper = math.inf
+    if not math.isfinite(T_upper):
+        log_T = exponent * (log_inner - math.log(P.eps))
+        raise OverflowError(f"math range error: T_upper is beyond the float range, log T_upper = {log_T:.6g}")
+    return LifespanBound(C=C, exponent=exponent, T_upper=T_upper, constants=consts)
 
 
 def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:

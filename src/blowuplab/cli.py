@@ -7,7 +7,8 @@ config file (--config) can supply any option; explicit flags win.  All
 outputs are pure functions of the effective configuration, so repeated
 invocations are byte-identical.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 internal error.
+Exit codes: 0 success, 2 validation error or a result beyond the float range,
+3 I/O error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -60,12 +61,18 @@ def _choice(*words: str):
 
 REQUIRED = object()
 
-_MODEL_OPTS = {
+# the five values a verdict depends on; with M and eps below, the keys are
+# the ModelParams fields
+_POINT_OPTS = {
     "n": (int, REQUIRED, "space dimension (integer >= 2); required"),
     "mu": (float, REQUIRED, "damping coefficient of mu/(1+t) v_t; required"),
     "nu": (float, 0.0, "mass coefficient of nu/(1+t)^2 v"),
     "p": (float, REQUIRED, "nonlinearity power (> 1); required"),
     "kbar": (float, REQUIRED, "data decay parameter (> -1); required"),
+}
+
+_MODEL_OPTS = {
+    **_POINT_OPTS,
     "M": (float, exponents.ModelParams.M, "data amplitude (> 0)"),
     "eps": (float, exponents.ModelParams.eps, "data size (> 0)"),
 }
@@ -111,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, opts=opts, with_out=with_out)
         return p
 
-    new_cmd("classify", "classify one (n, mu, nu, kbar, p) point", dict(_MODEL_OPTS), _cmd_classify, with_out=False)
+    new_cmd("classify", "classify one (n, mu, nu, kbar, p) point", _POINT_OPTS, _cmd_classify, with_out=False)
 
     new_cmd("bound", "explicit lifespan upper bound (conditional on delta_m)", {**_MODEL_OPTS, **_BOUND_OPTS}, _cmd_bound, with_out=False)
 
@@ -128,12 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
         **{k: v for k, v in _MODEL_OPTS.items() if k != "eps"},
         **_GRID_OPTS,
         "eps_values": (_float_list, REQUIRED, "comma-separated eps grid, strictly increasing, >= 4 values; required"),
-        "refinement_levels": (int, 2, "mesh refinement levels per eps (T_num from the finest)"),
+        "refinement_levels": (int, experiments.SweepSpec.refinement_levels, "mesh refinement levels per eps (T_num from the finest)"),
         "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
         "jobs": (int, None, "worker pool size; 1 or less runs serially [default: cpu count]"),
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
-        "delta": _BOUND_OPTS["delta"],
-        "delta_m": _BOUND_OPTS["delta_m"],
+        **_BOUND_OPTS,
     }
     new_cmd("sweep", "eps-sweep with lifespan power-law fit", sweep_opts, _cmd_sweep)
 
@@ -202,9 +208,9 @@ def _merge(args: argparse.Namespace) -> dict:
 
 
 def _params(cfg: dict) -> exponents.ModelParams:
-    return exponents.ModelParams(
-        n=cfg["n"], mu=cfg["mu"], nu=cfg["nu"], p=cfg["p"], kbar=cfg["kbar"], M=cfg["M"], eps=cfg["eps"]
-    )
+    """The model point of `cfg`; ModelParams supplies M and eps where the
+    subcommand takes neither."""
+    return exponents.ModelParams(**{k: cfg[k] for k in _MODEL_OPTS if k in cfg})
 
 
 def _grid(cfg: dict) -> solver.GridSpec:
@@ -214,7 +220,9 @@ def _grid(cfg: dict) -> solver.GridSpec:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # NaN and +-Infinity are not JSON: a non-finite number is written as null
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(payload: dict) -> None:
@@ -250,14 +258,6 @@ def _cmd_bound(cfg: dict) -> int:
     return 0
 
 
-def _write_snapshots(path: Path, snapshots) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,r,u\n")
-        for snap in snapshots:
-            for rv, uv in zip(snap.r, snap.u):
-                fh.write(f"{snap.t:.12g},{rv:.12g},{uv:.12g}\n")
-
-
 def _run_payload(result: solver.SolverRun, with_history: bool) -> dict:
     payload = {
         "form": result.form.value,
@@ -278,31 +278,25 @@ def _cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     times = cfg["snapshot_times"]
     with_history = bool(cfg["history"])
-    payload: dict = {}
-    files = []
-    if cfg["form"] == "both":
-        # one run per form serves the check and the CSVs (requested snapshots only)
-        check_times = solver.transform_times(grid, times)
-        runs = [
-            solver.run(form, params, grid, snapshot_times=check_times, collect_history=with_history)
-            for form in (solver.Form.U, solver.Form.V)
-        ]
+    both = cfg["form"] == "both"
+    forms = (solver.Form.U, solver.Form.V) if both else (solver.Form(cfg["form"]),)
+    # in `both`, one run per form serves the check and the CSVs (requested snapshots only)
+    run_times = solver.transform_times(grid, times) if both else times
+    runs = [solver.run(form, params, grid, snapshot_times=run_times, collect_history=with_history) for form in forms]
+    if both:
         cut_off = not times and not all(result.snapshots for result in runs)  # default times past a blow-up
         report = solver.TransformReport((), (), None) if cut_off else solver.compare_forms(*runs)
-        for result in runs:
-            name = f"snapshots_{result.form.value}.csv"
-            _write_snapshots(out / name, result.snapshots if times else [])
-            files.append(name)
-            payload[result.form.value] = _run_payload(result, with_history)
+        payload = {result.form.value: _run_payload(result, with_history) for result in runs}
         payload["transform_check"] = dataclasses.asdict(report)
     else:
-        form = solver.Form(cfg["form"])
-        result = solver.run(form, params, grid, snapshot_times=times or (), collect_history=with_history)
-        name = f"snapshots_{form.value}.csv"
-        _write_snapshots(out / name, result.snapshots)
-        files.append(name)
-        payload = _run_payload(result, with_history)
-    payload["files"] = files
+        payload = _run_payload(runs[0], with_history)
+    payload["files"] = [f"snapshots_{form.value}.csv" for form in forms]
+    for name, result in zip(payload["files"], runs):
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            fh.write("t,r,u\n")
+            for snap in result.snapshots if times else []:
+                for rv, uv in zip(snap.r, snap.u):
+                    fh.write(f"{snap.t:.12g},{rv:.12g},{uv:.12g}\n")
     (out / "run_summary.json").write_text(_json(payload), encoding="utf-8")
     _emit(payload)
     return 0
@@ -318,6 +312,10 @@ def _cmd_sweep(cfg: dict) -> int:
         form=solver.Form(cfg["form"]),
     )
     result = experiments.sweep(spec, jobs=cfg["jobs"])
+    report = None
+    if cfg["check_bound"]:  # before any write: a bound beyond the float range exits 2 with none written
+        bc = bound_engine.BoundConfig(params=base, delta=cfg["delta"], delta_m=cfg["delta_m"])
+        report = experiments.check_upper_bound(spec, bc, result)
     out = _out_dir(cfg)
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -340,9 +338,7 @@ def _cmd_sweep(cfg: dict) -> int:
         "survived_eps": list(result.survived_eps),
         "note": result.note,
     }
-    if cfg["check_bound"]:
-        bc = bound_engine.BoundConfig(params=base, delta=cfg["delta"], delta_m=cfg["delta_m"])
-        report = experiments.check_upper_bound(spec, bc, result)
+    if report is not None:
         summary["bound_check"] = {
             "rows": [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows],
             "delta_m": report.delta_m,
@@ -410,7 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal assertion / unexpected state

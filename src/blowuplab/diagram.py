@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import AtlasResult, Verdict, kbar_zero, strauss
+from .exponents import AtlasResult, Verdict, _open_text, kbar_zero, strauss
 
 __all__ = ["exact_boundary_labels", "write_atlas_svg"]
 
@@ -83,14 +83,9 @@ def write_atlas_svg(result: AtlasResult, target) -> None:
     timestamps: repeated emission is byte-identical)."""
     # raises for n + mu <= 1, before any file is opened
     kbar0, p_strauss = kbar_zero(result.n, result.mu), strauss(result.n + result.mu)
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with _open_text(target) as fh:
         for chunk in _render(result, kbar0, p_strauss):
             fh.write(chunk)
-    finally:
-        if own:
-            fh.close()
 
 
 def _render(res: AtlasResult, kbar0: float, p_strauss: float) -> Iterator[str]:

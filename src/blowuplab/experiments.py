@@ -45,7 +45,7 @@ class SweepSpec:
     params_base: ModelParams
     eps_values: tuple[float, ...]
     grid: GridSpec
-    refinement_levels: int = 1
+    refinement_levels: int = 2
     form: Form = Form.U
 
     def __post_init__(self) -> None:

@@ -25,6 +25,7 @@ whole rectangle.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -342,9 +343,7 @@ def _as_grid(spec: GridLike, name: str) -> np.ndarray:
     """Accept either an explicit value sequence or a (lo, hi, count) range."""
     if isinstance(spec, tuple) and len(spec) == 3 and isinstance(spec[2], (int, np.integer)):
         lo, hi, count = spec
-        if count <= 0:
-            raise ValueError(f"{name}: empty grid")
-        values = np.linspace(float(lo), float(hi), int(count))
+        values = np.linspace(float(lo), float(hi), max(int(count), 0))  # count <= 0: empty, rejected below
     else:
         values = np.asarray(spec, dtype=float)
     if values.size == 0:
@@ -352,6 +351,14 @@ def _as_grid(spec: GridLike, name: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name}: grid values must be finite")
     return values
+
+
+def _open_text(target):
+    """A path opens a new UTF-8 text file that the block closes; an open
+    text handle is written to and left open."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        return open(target, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(target)
 
 
 @dataclass(frozen=True)
@@ -376,9 +383,7 @@ class AtlasResult:
 
     def to_csv(self, target) -> None:
         """Write rows (kbar, p, verdict, alpha-or-blank); kbar varies slowest."""
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", encoding="utf-8", newline="") if own else target
-        try:
+        with _open_text(target) as fh:
             fh.write("kbar,p,verdict,alpha\n")
             ps = [f"{p:.12g}" for p in self.p_values]
             for k, verdicts, alphas in zip(self.kbar_values, self.verdicts, self.alphas):
@@ -387,9 +392,6 @@ class AtlasResult:
                     f"{k},{p},{v},{a:.12g}\n" if math.isfinite(a) else f"{k},{p},{v},\n"
                     for p, v, a in zip(ps, verdicts, alphas.tolist())
                 ))
-        finally:
-            if own:
-                fh.close()
 
 
 def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> AtlasResult:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +259,29 @@ class TestLifespanUpperBound:
         denom = 2.0 / (2.0 - 1.0) - 1.0 - 0.5  # 2/(p-1) - mu/2 - kbar
         assert b2.C / b1.C == pytest.approx(2.0 ** (-1.0 / denom), rel=1e-12)
 
+    # exp overflows at p = 2.33; at p = 2.30 C eps^(-exponent) is inf at
+    # eps = 1e-8 and the power overflows at eps = 1e-13
+    @pytest.mark.parametrize("p, eps", [(2.33, 1.0), (2.30, 1e-8), (2.30, 1e-13)])
+    def test_beyond_the_float_range_names_log_T_upper(self, p, eps):
+        with pytest.raises(OverflowError, match=r"^math range error: .*log T_upper = ") as info:
+            lifespan_upper_bound(make_cfg(p=p, eps=eps))
+        log_T = float(str(info.value).rsplit("= ", 1)[1])
+        assert log_T > math.log(sys.float_info.max)
+        if p == 2.30:  # C is finite at eps = 1, and log T_upper = log C - exponent log eps
+            bound = lifespan_upper_bound(make_cfg(p=p))
+            assert log_T == pytest.approx(math.log(bound.C) - bound.exponent * math.log(eps), rel=1e-5)
+
+    def test_finite_bound_is_C_times_the_eps_power(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            cfg = random_valid_cfg(rng)
+            try:
+                bound = lifespan_upper_bound(cfg)
+            except OverflowError:
+                continue
+            assert math.isfinite(bound.C) and math.isfinite(bound.T_upper)
+            assert bound.T_upper == bound.C * cfg.params.eps ** (-bound.exponent)
+
     def test_precondition_names_inequality(self):
         # the first failed hypothesis of the blow-up result is named
         for kw in (dict(kbar=1.0, p=2.0, mu=2.0), dict(mu=6.0, p=3.0, kbar=-0.9), dict(mu=2.0, p=3.0, kbar=0.5)):
@@ -287,7 +311,8 @@ class TestLifespanUpperBound:
         alpha = lifespan_exponent(params)
         try:
             bound = lifespan_upper_bound(BoundConfig(params=params))
-        except OverflowError:  # C overflows near the Fujita curve, a known defect
+        except OverflowError as exc:  # T_upper beyond the float range near the Fujita curve
+            assert str(exc).startswith("math range error: ")
             return
         assert bound.exponent == alpha
 

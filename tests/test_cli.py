@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import pytest
 from blowuplab import solver
 from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound, seed_constant
 from blowuplab.cli import _build_parser, _merge, main
+from blowuplab.experiments import SweepSpec
 from blowuplab.exponents import ModelParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +24,15 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which JSON does not have."""
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestClassify:
@@ -52,6 +63,15 @@ class TestClassify:
         )
         assert code == 0
         assert json.loads(out)["kind"] == "Unknown"
+
+    @pytest.mark.parametrize("flag", ["--eps", "--M"])
+    def test_data_size_and_amplitude_are_not_options(self, capsys, flag):
+        # a verdict depends on n, mu, nu, kbar and p only
+        code, out, err = run_cli(
+            capsys, "classify", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "1", "--p", "1.6", flag, "1"
+        )
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
 
 
 class TestBound:
@@ -103,6 +123,17 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert f"{name} must be finite, got inf" in err
+
+    # near the Fujita curve T_upper leaves the float range: exp overflows at
+    # p = 2.33; at p = 2.30 C eps^(-exponent) is inf at eps = 1e-8 and the
+    # power overflows at 1e-13
+    @pytest.mark.parametrize("p, eps", [("2.33", "1"), ("2.30", "1e-8"), ("2.30", "1e-13")])
+    def test_bound_beyond_the_float_range_exits_2(self, capsys, p, eps):
+        code, out, err = run_cli(
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", p, "--eps", eps
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: math range error: ") and "log T_upper = " in err
 
 
 class TestAtlas:
@@ -267,6 +298,22 @@ class TestSimulate:
         payload = json.loads(proc.stdout)
         assert payload["outcome"] == "BlewUp" and payload["T_num"] < 20.0
 
+    def test_non_finite_numbers_are_written_as_null(self, capsys, tmp_path):
+        # the unbounded threshold and the last, non-finite amplitude of the
+        # history are not JSON numbers
+        out_dir = tmp_path / "sim"
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--eps", "5",
+            "--dr", "0.1", "--r-max", "30", "--t-max", "15", "--u-threshold", "inf", "--history",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["grid"]["u_threshold"] is None
+        assert payload["max_amplitude_history"][-1] == [pytest.approx(payload["T_num"]), None]
+        assert strict_json((out_dir / "run_summary.json").read_text(encoding="utf-8")) == payload
+
     def test_unknown_form(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -340,6 +387,33 @@ class TestSweepCommand:
         assert payload["bound_check"]["conditional"] is True
         assert (out_dir / "bound_check.json").exists()
 
+    def test_check_bound_beyond_the_float_range_exits_2_before_any_write(self, capsys, tmp_path):
+        out_dir = tmp_path / "swb"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2.33",
+            "--eps-values", "2,4,6,10", "--dr", "0.2", "--r-max", "20", "--t-max", "4",
+            "--refinement-levels", "1", "--jobs", "1", "--check-bound", "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: math range error: ")
+        assert not out_dir.exists()
+
+    def test_incomplete_sweep_writes_a_null_fit(self, capsys, tmp_path):
+        # every eps survives t_max = 8 at the criterion-7 model: no fit exists
+        out_dir = tmp_path / "sw"
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--M", "0.02",
+            "--eps-values", "0.5,1,2,4", "--dr", "0.2", "--r-max", "40", "--t-max", "8",
+            "--refinement-levels", "1", "--jobs", "1", "--out", str(out_dir),
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["survived_eps"] == [0.5, 1.0, 2.0, 4.0] and payload["pass"] is False
+        assert (payload["slope"], payload["intercept"], payload["r_squared"]) == (None, None, None)
+        assert strict_json((out_dir / "sweep_summary.json").read_text(encoding="utf-8")) == payload
+
 
 class TestConvergeCommand:
     def test_report_written(self, capsys, tmp_path):
@@ -390,6 +464,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("key", ["eps", "M"])
+    def test_classify_rejects_data_keys(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=3\nmu=2\nnu=0\nkbar=1\np=1.6\n{key}=1\n")
+        code, out, err = run_cli(capsys, "classify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}:6: unknown config key {key!r}" in err
 
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classify", "--config", str(tmp_path / "nope.cfg"))
@@ -452,6 +534,12 @@ class TestHelp:
         assert code == 0
         for key in ("--eps-values", "--refinement-levels", "--cfl", "--u-threshold", "--jobs"):
             assert key in out
+
+    def test_refinement_levels_default_is_the_sweep_spec_default(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        shown = re.search(r"--refinement-levels REFINEMENT_LEVELS mesh refinement levels .*? \[default: (\d+)\]", text)
+        assert int(shown.group(1)) == SweepSpec.refinement_levels
 
 
 class TestImportCost:
