@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 
 from ._quadrature import integrate, integrate_triangle
-from .exponents import HypothesisError, ModelParams, lifespan_exponent
+from .exponents import HypothesisError, ModelParams, _weight_exponent, lifespan_exponent
 
 __all__ = [
     "BoundConfig",
@@ -149,6 +149,11 @@ def _log_seed_factor(cfg: BoundConfig) -> float:
     )
 
 
+def _eps_free_constant(consts: IterationConstants, cfg: BoundConfig) -> float:
+    """S_limit - log(C0/eps), the eps-free constant of J and of log T_upper."""
+    return consts.S_limit - _log_seed_factor(cfg)
+
+
 def seed_constant(cfg: BoundConfig) -> float:
     """log C0 with C0 = eps 2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)."""
     return math.log(cfg.params.eps) + _log_seed_factor(cfg)
@@ -226,7 +231,7 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
         raise ValueError(f"J requires r > 0, got {r}")
     P = cfg.params
     A, _ = _growth_coefficients(cfg)
-    return seed_constant(cfg) - consts.S_limit + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
+    return math.log(P.eps) - _eps_free_constant(consts, cfg) + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
 
 
 def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
@@ -243,7 +248,7 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     P = cfg.params
     exponent = lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
     consts = derive_K(cfg)
-    log_inner = consts.S_limit - _log_seed_factor(cfg) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m)
+    log_inner = _eps_free_constant(consts, cfg) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m)
     try:
         C = math.exp(exponent * log_inner)
         T_upper = C * P.eps ** (-exponent)
@@ -306,7 +311,7 @@ def verify_iteration_step(
     P = cfg.params
     p, m = P.p, P.m
     a, b = state.a, state.b
-    w = P.mu * (p - 1.0) / 2.0
+    w = _weight_exponent(P.mu, p)
     nxt = iterate(state, cfg)
     const_ratio = math.exp(p * state.logC - nxt.logC)  # C^p / C'
 

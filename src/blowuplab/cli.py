@@ -242,19 +242,10 @@ def _cmd_classify(cfg: dict) -> int:
 
 def _cmd_bound(cfg: dict) -> int:
     bc = bound_engine.BoundConfig(params=_params(cfg), delta=cfg["delta"], delta_m=cfg["delta_m"])
-    bound = bound_engine.lifespan_upper_bound(bc)
-    _emit(
-        {
-            "C0": math.exp(bound_engine.seed_constant(bc)),
-            "K": bound.constants.K,
-            "S_limit": bound.constants.S_limit,
-            "C": bound.C,
-            "exponent": bound.exponent,
-            "T_upper": bound.T_upper,
-            "delta_m": cfg["delta_m"],
-            "conditional": True,
-        }
-    )
+    bound = dataclasses.asdict(bound_engine.lifespan_upper_bound(bc))
+    # the fields of LifespanBound, with those of its constants (K, S_limit) in place of the nested record
+    C0 = math.exp(bound_engine.seed_constant(bc))
+    _emit({**bound.pop("constants"), **bound, "C0": C0, "delta_m": cfg["delta_m"], "conditional": True})
     return 0
 
 
@@ -303,19 +294,18 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    base = _params({**cfg, "eps": cfg["eps_values"][0]})
     spec = experiments.SweepSpec(
-        params_base=base,
+        params_base=_params(cfg),
         eps_values=cfg["eps_values"],
         grid=_grid(cfg),
         refinement_levels=cfg["refinement_levels"],
         form=solver.Form(cfg["form"]),
     )
+    bound = None
+    if cfg["check_bound"]:  # before any solve: a bound beyond the float range exits 2 with nothing run or written
+        base = dataclasses.replace(spec.params_base, eps=spec.eps_values[0])  # the smallest eps, largest T_upper
+        bound = bound_engine.lifespan_upper_bound(bound_engine.BoundConfig(base, cfg["delta"], cfg["delta_m"]))
     result = experiments.sweep(spec, jobs=cfg["jobs"])
-    report = None
-    if cfg["check_bound"]:  # before any write: a bound beyond the float range exits 2 with none written
-        bc = bound_engine.BoundConfig(params=base, delta=cfg["delta"], delta_m=cfg["delta_m"])
-        report = experiments.check_upper_bound(spec, bc, result)
     out = _out_dir(cfg)
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -328,24 +318,12 @@ def _cmd_sweep(cfg: dict) -> int:
     alpha = result.alpha_theory
     slope_ok = math.isfinite(result.slope) and abs(result.slope + alpha) / alpha <= 0.25
     fit_ok = not result.survived_eps and slope_ok and result.r_squared >= 0.95
-    summary = {
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "r_squared": result.r_squared,
-        "alpha_theory": alpha,
-        "pass": bool(fit_ok),
-        "points": [[pt.eps, pt.T_num, pt.refinement_agreement] for pt in result.points],
-        "survived_eps": list(result.survived_eps),
-        "note": result.note,
-    }
-    if report is not None:
-        summary["bound_check"] = {
-            "rows": [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows],
-            "delta_m": report.delta_m,
-            "conditional": report.conditional,
-            "all_ok": report.all_ok,
-            "note": report.note,
-        }
+    points = [[pt.eps, pt.T_num, pt.refinement_agreement] for pt in result.points]
+    summary = {**dataclasses.asdict(result), "points": points, "pass": bool(fit_ok)}
+    if bound is not None:
+        report = experiments.check_upper_bound(spec, result, bound, cfg["delta_m"])
+        rows = [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows]
+        summary["bound_check"] = {**dataclasses.asdict(report), "rows": rows}
         (out / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")
     (out / "sweep_summary.json").write_text(_json(summary), encoding="utf-8")
     _emit(summary)
@@ -360,7 +338,7 @@ def _cmd_atlas(cfg: dict) -> int:
         k_grid=(cfg["kbar_min"], cfg["kbar_max"], cfg["kbar_count"]),
         p_grid=(cfg["p_min"], cfg["p_max"], cfg["p_count"]),
     )
-    kbar0, p_strauss = exponents.kbar_zero(cfg["n"], cfg["mu"]), exponents.strauss(cfg["n"] + cfg["mu"])
+    note = diagram.boundary_annotation(cfg["n"], cfg["mu"])  # raises for n + mu <= 1, before any write
     out = _out_dir(cfg)
     files = []
     if cfg["format"] in ("csv", "both"):
@@ -369,17 +347,7 @@ def _cmd_atlas(cfg: dict) -> int:
     if cfg["format"] in ("svg", "both"):
         diagram.write_atlas_svg(result, out / "atlas.svg")
         files.append("atlas.svg")
-    kb_label, ps_label = diagram.exact_boundary_labels(cfg["n"], cfg["mu"])
-    _emit(
-        {
-            "kbar0": kbar0,
-            "kbar0_exact": kb_label,
-            "p_strauss": p_strauss,
-            "p_strauss_exact": ps_label,
-            "counts": result.verdict_counts(),
-            "files": files,
-        }
-    )
+    _emit({**note, "counts": result.verdict_counts(), "files": files})
     return 0
 
 

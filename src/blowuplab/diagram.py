@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import AtlasResult, Verdict, _open_text, kbar_zero, strauss
+from .exponents import AtlasResult, Verdict, _existence_power, _open_text, _shifted_decay, fujita, kbar_zero, strauss
 
-__all__ = ["exact_boundary_labels", "write_atlas_svg"]
+__all__ = ["exact_boundary_labels", "boundary_annotation", "write_atlas_svg"]
 
 
 def _squarefree(D: int) -> tuple[int, int]:
@@ -72,6 +72,12 @@ def exact_boundary_labels(n: int, mu: float) -> tuple[str | None, str | None]:
     return _format_surd(2 * a / norm - Fraction(int(mu), 2), -2 * y / norm, q), _format_surd(x, y, q)
 
 
+def boundary_annotation(n: int, mu: float) -> dict:
+    """The atlas annotation: (kbar0, p_S(n + mu)) and their exact labels; raises for n + mu <= 1."""
+    kb_label, ps_label = exact_boundary_labels(n, mu)
+    return {"kbar0": kbar_zero(n, mu), "kbar0_exact": kb_label, "p_strauss": strauss(n + mu), "p_strauss_exact": ps_label}
+
+
 _FILL = {
     Verdict.BLOW_UP.value: "#e4584f",
     Verdict.GLOBAL_EXISTENCE.value: "#5470d6",
@@ -81,17 +87,16 @@ _FILL = {
 def write_atlas_svg(result: AtlasResult, target) -> None:
     """Write the region diagram as a standalone 720 x 540 SVG file (no
     timestamps: repeated emission is byte-identical)."""
-    # raises for n + mu <= 1, before any file is opened
-    kbar0, p_strauss = kbar_zero(result.n, result.mu), strauss(result.n + result.mu)
+    note = boundary_annotation(result.n, result.mu)  # raises for n + mu <= 1, before any file is opened
     with _open_text(target) as fh:
-        for chunk in _render(result, kbar0, p_strauss):
-            fh.write(chunk)
+        fh.writelines(_render(result, note))
 
 
-def _render(res: AtlasResult, kbar0: float, p_strauss: float) -> Iterator[str]:
+def _render(res: AtlasResult, note: dict) -> Iterator[str]:
     """Yield the SVG: the header, one chunk per kbar column, then the rest."""
     W, H, ML, MR, MT, MB = 720, 540, 84, 26, 28, 58
     pw, ph = W - ML - MR, H - MT - MB
+    kbar0, p_strauss = note["kbar0"], note["p_strauss"]
     ks, ps = res.kbar_values, res.p_values
     k_lo, k_hi = float(ks.min()), float(ks.max())
     p_lo, p_hi = float(ps.min()), float(ps.max())
@@ -137,7 +142,6 @@ def _render(res: AtlasResult, kbar0: float, p_strauss: float) -> Iterator[str]:
         )
 
     # intersection marker, guides, annotations
-    kb_label, ps_label = exact_boundary_labels(res.n, res.mu)
     if k_lo <= kbar0 <= k_hi and p_lo <= p_strauss <= p_hi:
         cx, cy = X(kbar0), Y(p_strauss)
         out.append(
@@ -145,10 +149,10 @@ def _render(res: AtlasResult, kbar0: float, p_strauss: float) -> Iterator[str]:
             f'stroke="#555" stroke-width="1" stroke-dasharray="2 3"/>'
         )
         out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#15257d"/>')
-    kb_text = f"k̄0 = {kbar0:.6f}" if kb_label is None else f"k̄0 = {kb_label} ≈ {kbar0:.6f}"
-    ps_text = f"p_S = {p_strauss:.6f}" if ps_label is None else f"p_S = {ps_label} ≈ {p_strauss:.6f}"
-    out.append(f'<text x="{ML + 10}" y="{MT + 18}" font-size="14" font-family="sans-serif">{kb_text}</text>')
-    out.append(f'<text x="{ML + 10}" y="{MT + 36}" font-size="14" font-family="sans-serif">{ps_text}</text>')
+    for y, name, key in ((MT + 18, "k̄0", "kbar0"), (MT + 36, "p_S", "p_strauss")):
+        exact = note[key + "_exact"]
+        text = f"{name} = {note[key]:.6f}" if exact is None else f"{name} = {exact} ≈ {note[key]:.6f}"
+        out.append(f'<text x="{ML + 10}" y="{y}" font-size="14" font-family="sans-serif">{text}</text>')
 
     # axes and labels
     out.append(
@@ -208,11 +212,11 @@ def _boundary_curves(n: int, mu: float, k_lo: float, k_hi: float) -> tuple[np.nd
     curve_lo = max(k_lo, -mu / 2.0 + 1e-9 * max(1.0, abs(mu / 2.0)))
     if curve_lo < k_hi:
         ks = np.linspace(curve_lo, k_hi, _CURVE_SAMPLES)
-        fujita_curve = np.column_stack([ks, 1.0 + 2.0 / (ks + mu / 2.0)])
+        fujita_curve = np.column_stack([ks, [fujita(h) for h in _shifted_decay(ks, mu)]])
     else:
         fujita_curve = np.empty((0, 2))
     ks = np.linspace(k_lo, k_hi, _CURVE_SAMPLES)
-    return fujita_curve, np.column_stack([ks, (2.0 * ks + mu + 2.0) / (n + mu - 1.0)])
+    return fujita_curve, np.column_stack([ks, _existence_power(n, mu, ks)])
 
 
 def _polyline(curve: np.ndarray, X, Y, p_lo: float, p_hi: float, color: str, width: float, dash: str | None = None) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_engine import BoundConfig, lifespan_upper_bound
+from .bound_engine import LifespanBound
 from .exponents import ModelParams, lifespan_exponent
 from .solver import Form, GridSpec, run
 
@@ -105,7 +105,10 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     relative change between the two finest levels.  Any eps that survives
     t_max at any level leaves the result incomplete and flagged.  `jobs`
     worker processes run the solves (None: one per CPU; 1 or less: serially,
-    in this process).
+    in this process).  Not threads: a leapfrog step makes about 11 numpy
+    calls, and threads hand the interpreter lock back and forth around each
+    one (criterion-7 sweep, 2-vCPU Xeon: two threads took 1.6x the wall time
+    of two processes).
     """
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
@@ -174,15 +177,14 @@ class BoundCheckReport:
     note: str = ""
 
 
-def check_upper_bound(spec: SweepSpec, cfg: BoundConfig, sweep_result: SweepResult) -> BoundCheckReport:
+def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bound: LifespanBound, delta_m: float) -> BoundCheckReport:
     """Assert T_num <= C eps^(-exponent) for every eps of `sweep_result`,
-    the result of `sweep(spec)`.
-
-    C and the exponent do not depend on eps, so one bound at the base
-    parameters serves every row.  A bound below the first time step is
-    flagged vacuous (unresolvable at this resolution) but still compared.
+    the result of `sweep(spec)`, with C and the exponent of `bound`, the
+    lifespan bound at spec's parameters under `delta_m`.  They do not
+    depend on eps, so one bound serves every row.  A bound below the first
+    time step is flagged vacuous (unresolvable at this resolution) but
+    still compared.
     """
-    bound = lifespan_upper_bound(dataclasses.replace(cfg, params=spec.params_base))
     rows = []
     for pt in sweep_result.points:
         T_upper = bound.C * pt.eps ** (-bound.exponent)
@@ -190,7 +192,7 @@ def check_upper_bound(spec: SweepSpec, cfg: BoundConfig, sweep_result: SweepResu
         rows.append(BoundCheckRow(eps=pt.eps, T_num=pt.T_num, T_upper=T_upper, ok=ok, vacuous=T_upper < spec.grid.dt))
     note = "bound vacuous at this resolution for some eps" if any(r.vacuous for r in rows) else ""
     return BoundCheckReport(
-        rows=tuple(rows), delta_m=cfg.delta_m, conditional=True, all_ok=all(r.ok for r in rows), note=note
+        rows=tuple(rows), delta_m=delta_m, conditional=True, all_ok=all(r.ok for r in rows), note=note
     )
 
 

@@ -130,6 +130,31 @@ class RegionVerdict:
             raise ValueError("lifespan_exponent must be positive")
 
 
+def _shifted_decay(kbar, mu):
+    """Shifted decay h = kbar + mu/2, the argument of p_F; elementwise."""
+    return kbar + mu / 2.0
+
+
+def _critical_mass(mu: float) -> float:
+    """Critical mass nu* = (mu/2)(mu/2 - 1) of the blow-up result."""
+    return 0.25 * mu * (mu - 2.0)
+
+
+def _weight_exponent(mu: float, p: float) -> float:
+    """Exponent mu(p-1)/2 of the u-form weight (1+t)^(-mu(p-1)/2) on |u|^p."""
+    return mu * (p - 1.0) / 2.0
+
+
+def _existence_line(n: int, mu: float, p: float) -> float:
+    """Decay kbar = ((n+mu-1)p - mu - 2)/2 of the straight existence boundary."""
+    return (n + mu - 1.0) * p / 2.0 - (mu + 2.0) / 2.0
+
+
+def _existence_power(n: int, mu: float, kbar):
+    """Inverse of `_existence_line`: p = (2 kbar + mu + 2)/(n + mu - 1); elementwise."""
+    return (2.0 * kbar + mu + 2.0) / (n + mu - 1.0)
+
+
 def fujita(h: float) -> float:
     """Heat-type critical power p_F(h) = 1 + 2/h, for h > 0."""
     if not h > 0:
@@ -185,24 +210,20 @@ def p_bar(n: int, mu: float) -> float:
 def _mu2_case(n: int, p: float) -> tuple[float, float, tuple[str, bool] | None]:
     """k1, k2 and p-cap for mu = 2 (no mass term).  Returns (k1, k2, cap)
     where cap = (label, satisfied) or None."""
+    if n < 3:
+        raise UncoveredCaseError(f"no encoded admissible range for n = {n}, mu = 2")
+    slow, k2 = (3.0 - p) / (p - 1.0), _existence_line(n, 2.0, p)
     if n == 3:
-        k1 = max((3.0 - p) / (p - 1.0), 1.0 / (p - 1.0))
-        k2 = 2.0 * (p - 1.0)
-        return k1, k2, None
-    if n >= 5 and n % 2 == 1:
-        k1 = max((3.0 - p) / (p - 1.0), (n - 1.0) / 2.0)
-        k2 = min((n + 1.0) * p / 2.0 - 2.0, (n * n - 2.0 * n + 13.0) / (2.0 * (n - 3.0)))
-        if n == 5:
-            k2 = min(k2, 3.0)
-            return k1, k2, ("p <= 2 (n = 5)", p <= 2.0)
-        cap = (n + 1.0) / (n - 3.0)
-        return k1, k2, (f"p <= (n+1)/(n-3) = {cap:.6g}", p <= cap)
-    if n >= 4 and n % 2 == 0:
-        k1 = max((3.0 - p) / (p - 1.0), (n - 1.0) / 2.0)
-        k2 = min((n + 1.0) * p / 2.0 - 2.0, n - 1.0)
+        return max(slow, 1.0 / (p - 1.0)), k2, None
+    k1 = max(slow, (n - 1.0) / 2.0)
+    if n % 2 == 0:
         cap = p_bar(n, 2.0)
-        return k1, k2, (f"p < p_bar(n, 2) = {cap:.6g}", p < cap)
-    raise UncoveredCaseError(f"no encoded admissible range for n = {n}, mu = 2")
+        return k1, min(k2, n - 1.0), (f"p < p_bar(n, 2) = {cap:.6g}", p < cap)
+    k2 = min(k2, (n * n - 2.0 * n + 13.0) / (2.0 * (n - 3.0)))
+    if n == 5:
+        return k1, min(k2, 3.0), ("p <= 2 (n = 5)", p <= 2.0)
+    cap = (n + 1.0) / (n - 3.0)
+    return k1, k2, (f"p <= (n+1)/(n-3) = {cap:.6g}", p <= cap)
 
 
 def _general_mu_case(n: int, p: float, mu: float) -> tuple[float, float, tuple[str, bool]]:
@@ -212,7 +233,7 @@ def _general_mu_case(n: int, p: float, mu: float) -> tuple[float, float, tuple[s
         raise UncoveredCaseError(
             f"mu = {mu} outside the encoded damping range [2, {mu_max(n):.6g}] for n = {n}"
         )
-    k2 = min(n - 1.0, (n + mu - 1.0) * p / 2.0 - (mu + 2.0) / 2.0)
+    k2 = min(n - 1.0, _existence_line(n, mu, p))
     cap_val = p_bar(n, mu)
     cap = (f"p < p_bar(n, mu) = {cap_val:.6g}", p < cap_val)
     k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0)
@@ -246,19 +267,20 @@ def admissible_range(n: int, p: float, mu: float) -> tuple[float, float]:
 _T1_CONSTRAINTS = ("kbar + mu/2 > 0", "nu <= (mu/2)(mu/2 - 1)", "p < p_F(kbar + mu/2)")
 
 
-def _theorem1_failures(params: ModelParams) -> list[str]:
+def _theorem1_failures(params: ModelParams) -> tuple[list[str], float, float]:
     """The hypotheses of the blow-up result that `params` fails, in the
-    order of _T1_CONSTRAINTS; the only place they are tested.  The p_F
-    test needs kbar + mu/2 > 0 and is skipped without it."""
-    h = params.kbar + params.mu / 2.0
+    order of _T1_CONSTRAINTS (the only place they are tested), with the
+    shifted decay h and the critical mass they were tested on.  The p_F
+    test needs h > 0 and is skipped without it."""
+    h, nu_crit = _shifted_decay(params.kbar, params.mu), _critical_mass(params.mu)
     failed = []
     if not h > 0:
         failed.append(_T1_CONSTRAINTS[0])
-    if not 0.25 * params.mu * (params.mu - 2.0) >= params.nu:
+    if not nu_crit >= params.nu:
         failed.append(_T1_CONSTRAINTS[1])
     if h > 0 and not params.p < fujita(h):
         failed.append(_T1_CONSTRAINTS[2])
-    return failed
+    return failed, h, nu_crit
 
 
 def _alpha(params: ModelParams) -> float:
@@ -274,13 +296,12 @@ def lifespan_exponent(params: ModelParams) -> float:
     first failed hypothesis otherwise.  Identical to
     1 / (2/(p-1) - mu/2 - kbar).
     """
-    failed = _theorem1_failures(params)
+    failed, h, nu_crit = _theorem1_failures(params)
     if failed:
-        h = params.kbar + params.mu / 2.0
         if failed[0] == _T1_CONSTRAINTS[0]:
             values = f"{h}"
         elif failed[0] == _T1_CONSTRAINTS[1]:
-            values = f"{params.nu} > {0.25 * params.mu * (params.mu - 2.0)}"
+            values = f"{params.nu} > {nu_crit}"
         else:
             values = f"{params.p} >= {fujita(h)}"
         raise HypothesisError(f"{failed[0]} fails: {values}")
@@ -299,7 +320,7 @@ def classify(params: ModelParams) -> RegionVerdict:
     since faster decay satisfies the slower-decay hypothesis).  Points on
     a boundary curve are Unknown: nothing is proved there.
     """
-    t1_failed = _theorem1_failures(params)
+    t1_failed, h, nu_crit = _theorem1_failures(params)
     if not t1_failed:
         return RegionVerdict(
             kind=Verdict.BLOW_UP,
@@ -308,8 +329,6 @@ def classify(params: ModelParams) -> RegionVerdict:
         )
 
     p, mu, nu, kbar, n = params.p, params.mu, params.nu, params.kbar, params.n
-    h = kbar + mu / 2.0
-    nu_crit = 0.25 * mu * (mu - 2.0)
     # global-existence conditions, label -> holds, in the order they are reported
     mass_ok = nu == nu_crit and nu_crit >= 0.0
     damping_ok = 2.0 <= mu <= mu_max(n)

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import integrate
-from .exponents import ModelParams
+from .exponents import ModelParams, _critical_mass, _weight_exponent
 
 __all__ = [
     "ConfigurationError",
@@ -173,8 +173,8 @@ class _Leapfrog:
         a, b = _face_weights(params.n, grid.n_nodes)
         self.A, self.B = grid.cfl**2 * a, grid.cfl**2 * b
         self.D, self.x = 2.0 - self.A - self.B, np.empty(grid.n_nodes)
-        self.a_exp = {Form.U: -mu * (p - 1.0) / 2.0, Form.V: 0.0}.get(form)
-        self.dt2c = self.dt2 * {Form.U: 0.25 * mu * (mu - 2.0) - nu, Form.V: -nu}.get(form, 0.0)
+        self.a_exp = {Form.U: -_weight_exponent(mu, p), Form.V: 0.0}.get(form)
+        self.dt2c = self.dt2 * {Form.U: _critical_mass(mu) - nu, Form.V: -nu}.get(form, 0.0)
         self.b_mu = mu if form is Form.V else 0.0
 
     def __call__(self, u: np.ndarray, up: np.ndarray, t: float, m: int, au: np.ndarray) -> None:

@@ -23,6 +23,7 @@ from blowuplab.bound_engine import (
     initial_state,
     iterate,
     closed_form,
+    lifespan_upper_bound,
     seed_constant,
     verify_iteration_step,
 )
@@ -203,7 +204,7 @@ def test_criterion_8_upper_bound_consistency_undamped_case():
         form=Form.U,
     )
     cfg = BoundConfig(params=params, delta=1.0, delta_m=1.0)
-    rep = check_upper_bound(spec, cfg, sweep(spec))
+    rep = check_upper_bound(spec, sweep(spec), lifespan_upper_bound(cfg), cfg.delta_m)
     assert rep.conditional is True  # explicitly conditional on delta_m
     assert rep.all_ok
     for row in rep.rows:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowuplab import solver
+from blowuplab import experiments, solver
 from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound, seed_constant
 from blowuplab.cli import _build_parser, _merge, main
 from blowuplab.experiments import SweepSpec
@@ -155,6 +155,34 @@ class TestAtlas:
         csv = (out_dir / "atlas.csv").read_text(encoding="utf-8")
         assert csv.startswith("kbar,p,verdict,alpha\n")
         assert len(csv.strip().splitlines()) == 1 + 12 * 12
+
+    @pytest.mark.parametrize(
+        "n, mu, nu, exact",
+        [("3", "2", "0", True), ("2", "2.5", "0.5625", False)],
+        ids=["exact-labels", "non-integer-mu"],
+    )
+    def test_json_annotation_is_the_svg_annotation(self, capsys, tmp_path, n, mu, nu, exact):
+        code, out, _ = run_cli(
+            capsys, "atlas", "--n", n, "--mu", mu, "--nu", nu, "--kbar-count", "6", "--p-count", "6",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert (payload["kbar0_exact"] is not None, payload["p_strauss_exact"] is not None) == (exact, exact)
+        svg = (tmp_path / "atlas.svg").read_text(encoding="utf-8")
+        texts = re.findall(r'font-size="14" font-family="sans-serif">([^<]*)</text>', svg)
+        want = []
+        for name, key in (("k̄0", "kbar0"), ("p_S", "p_strauss")):
+            label = payload[key + "_exact"]
+            want.append(f"{name} = {payload[key]:.6f}" if label is None else f"{name} = {label} ≈ {payload[key]:.6f}")
+        assert texts == want
+
+    def test_no_p_strauss_exits_2_with_nothing_written(self, capsys, tmp_path):
+        out_dir = tmp_path / "atl"
+        code, out, err = run_cli(capsys, "atlas", "--n", "2", "--mu", "-1.5", "--nu", "0", "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert "n + mu > 1" in err
+        assert not out_dir.exists()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = ["atlas", "--n", "3", "--mu", "2", "--nu", "0", "--kbar-count", "8", "--p-count", "8"]
@@ -387,7 +415,16 @@ class TestSweepCommand:
         assert payload["bound_check"]["conditional"] is True
         assert (out_dir / "bound_check.json").exists()
 
-    def test_check_bound_beyond_the_float_range_exits_2_before_any_write(self, capsys, tmp_path):
+    def test_check_bound_beyond_the_float_range_exits_2_before_any_write(self, capsys, tmp_path, monkeypatch):
+        # the bound is computed before any solve: the sweep runs nothing
+        calls = []
+        real_run = experiments.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", counting_run)
         out_dir = tmp_path / "swb"
         code, out, err = run_cli(
             capsys,
@@ -398,6 +435,23 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: math range error: ")
         assert not out_dir.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_eps_list_is_a_validation_error(self, capsys, tmp_path, source):
+        args = [
+            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
+            "--dr", "0.2", "--r-max", "20", "--t-max", "4", "--out", str(tmp_path / "sw"),
+        ]
+        if source == "flag":
+            args += ["--eps-values", ","]
+        else:
+            (tmp_path / "sweep.cfg").write_text("eps_values=,\n", encoding="utf-8")
+            args += ["--config", str(tmp_path / "sweep.cfg")]
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == "error: need at least 4 eps values, got 0\n"
+        assert not (tmp_path / "sw").exists()
 
     def test_incomplete_sweep_writes_a_null_fit(self, capsys, tmp_path):
         # every eps survives t_max = 8 at the criterion-7 model: no fit exists

@@ -124,7 +124,7 @@ class TestCheckUpperBound:
             eps_values=(2.0, 4.0, 6.0, 10.0),
             grid=GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7),
         )
-        report = check_upper_bound(spec, BoundConfig(params=params), sweep(spec, jobs=1))
+        report = check_upper_bound(spec, sweep(spec, jobs=1), lifespan_upper_bound(BoundConfig(params=params)), 1.0)
         assert report.conditional is True
         assert report.delta_m == 1.0
         assert report.all_ok
@@ -157,7 +157,7 @@ class TestCheckUpperBound:
             alpha_theory=2.0 / 3.0,
             survived_eps=(),
         )
-        report = check_upper_bound(spec, BoundConfig(params=params), sweep_result=fake)
+        report = check_upper_bound(spec, fake, lifespan_upper_bound(BoundConfig(params=params)), 1.0)
         assert report.rows[-1].vacuous
         assert "vacuous" in report.note
 
