@@ -47,7 +47,7 @@ doubly exponentially, which yields the lifespan bound
 
     T(eps) <= C eps^(-1/(2/(p-1) - mu/2 - kbar)),
 
-with C fully explicit in (p, mu, m, kbar, M, delta, delta_m).
+with C explicit in (p, mu, m, kbar, M, delta_m, eps) and delta = 2T/delta_m.
 
 `free_lower_bound` and `verify_iteration_step` are quadrature oracles:
 they evaluate the underlying integrals numerically (Gauss-Legendre rules
@@ -88,8 +88,9 @@ class BoundConfig:
     """Parameters plus the two region constants of the estimate machinery.
 
     delta_m is NOT computed here: it is the dimension-dependent constant of
-    the pointwise free-wave estimate, supplied by the user.  Every bound
-    derived from this config is conditional on that choice.
+    the pointwise free-wave estimate, supplied by the user, and every bound
+    is conditional on it.  delta sets Sigma_delta for `in_sigma`, `J` and
+    the oracles; `lifespan_upper_bound` does not read it.
     """
 
     params: ModelParams
@@ -138,25 +139,25 @@ def in_sigma(t: float, r: float, cfg: BoundConfig) -> bool:
     return r - t >= max(2.0 * t / cfg.delta_m, cfg.delta)
 
 
-def _log_seed_factor(cfg: BoundConfig) -> float:
-    """log(C0/eps) = log(2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1))."""
+def _log_seed_factor(cfg: BoundConfig, delta: float) -> float:
+    """log(C0/eps) = log(2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)); finite at delta = inf."""
     P = cfg.params
     return (
         (P.m - 2) * math.log(2.0)
         + math.log(P.M)
         - P.m * math.log(cfg.delta_m)
-        + (P.kbar + 1.0) * math.log(cfg.delta / (1.0 + cfg.delta))
+        - (P.kbar + 1.0) * math.log1p(1.0 / delta)
     )
 
 
-def _eps_free_constant(consts: IterationConstants, cfg: BoundConfig) -> float:
+def _eps_free_constant(consts: IterationConstants, cfg: BoundConfig, delta: float) -> float:
     """S_limit - log(C0/eps), the eps-free constant of J and of log T_upper."""
-    return consts.S_limit - _log_seed_factor(cfg)
+    return consts.S_limit - _log_seed_factor(cfg, delta)
 
 
 def seed_constant(cfg: BoundConfig) -> float:
     """log C0 with C0 = eps 2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)."""
-    return math.log(cfg.params.eps) + _log_seed_factor(cfg)
+    return math.log(cfg.params.eps) + _log_seed_factor(cfg, cfg.delta)
 
 
 def initial_state(cfg: BoundConfig) -> IterationState:
@@ -231,33 +232,44 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
         raise ValueError(f"J requires r > 0, got {r}")
     P = cfg.params
     A, _ = _growth_coefficients(cfg)
-    return math.log(P.eps) - _eps_free_constant(consts, cfg) + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
+    return math.log(P.eps) - _eps_free_constant(consts, cfg, cfg.delta) + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
+
+
+_LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))
+
+
+def _log_T_upper(cfg: BoundConfig, consts: IterationConstants, alpha: float) -> float:
+    """max(x, 0), x the root of J(e^x, e^x (1 + 2/delta_m)) = 0 at delta = 2 e^x/delta_m:
+    x = L + c log(1 + (delta_m/2) e^(-x)), c = (kbar + 1) alpha, L = log T_inf the root as
+    delta -> inf.  f(x) = x - RHS is increasing and concave; L and (L + c log(delta_m/2))/(1 + c)
+    lie left of its root, and so does 0 unless f(0) >= 0, where Newton stops at once.  From
+    the left, Newton's iterates rise monotonically to the root."""
+    P = cfg.params
+    L = alpha * (_eps_free_constant(consts, cfg, math.inf) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m) - math.log(P.eps))
+    c, d = (P.kbar + 1.0) * alpha, cfg.delta_m / 2.0
+    x, x_prev = max(L, (L + c * math.log(d)) / (1.0 + c), 0.0), -math.inf
+    while x > x_prev:  # stops at the last rising iterate, where x - RHS >= 0
+        u = d * math.exp(-x)  # 1/delta
+        x_prev, x = x, x - (x - L - c * math.log1p(u)) / (1.0 + c * u / (1.0 + u))
+    return x_prev
 
 
 def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
-    """Explicit bound T(eps) <= C eps^(-exponent), with
-
-        C = (e^S_limit (eps/C0) (2 + 2/delta_m)^(1+kbar+m))^exponent,
-        exponent = `lifespan_exponent` = 1 / (2/(p-1) - mu/2 - kbar).
-
-    Preconditions: the hypotheses of `classify`'s BlowUpTheorem1.  eps/C0
-    is the eps-free 1/(2^(m-2) M delta_m^(-m) (delta/(1+delta))^(kbar+1)),
-    so C does not depend on eps.  A T_upper beyond the float range raises
-    OverflowError naming log T_upper.
-    """
+    """T(eps) <= T_upper = C eps^(-exponent), exponent = `lifespan_exponent`, with delta at
+    its fixed point 2 T_upper/delta_m, the best bound that J certifies (cfg.delta is not
+    read); T_upper >= 1, as J needs t > 1.  C = T_upper eps^exponent depends on eps, and
+    is inf where only it leaves the float range.  Preconditions: the hypotheses of
+    `classify`'s BlowUpTheorem1.  A T_upper beyond the float range raises OverflowError
+    naming log T_upper."""
     P = cfg.params
     exponent = lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
     consts = derive_K(cfg)
-    log_inner = _eps_free_constant(consts, cfg) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m)
-    try:
-        C = math.exp(exponent * log_inner)
-        T_upper = C * P.eps ** (-exponent)
-    except OverflowError:
-        T_upper = math.inf
-    if not math.isfinite(T_upper):
-        log_T = exponent * (log_inner - math.log(P.eps))
+    log_T = _log_T_upper(cfg, consts, exponent)
+    if log_T > _LOG_FLOAT_MAX:
         raise OverflowError(f"math range error: T_upper is beyond the float range, log T_upper = {log_T:.6g}")
-    return LifespanBound(C=C, exponent=exponent, T_upper=T_upper, constants=consts)
+    log_C = log_T + exponent * math.log(P.eps)
+    C = math.exp(log_C) if log_C <= _LOG_FLOAT_MAX else math.inf
+    return LifespanBound(C=C, exponent=exponent, T_upper=math.exp(log_T), constants=consts)
 
 
 def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:

@@ -78,7 +78,6 @@ _MODEL_OPTS = {
 }
 
 _BOUND_OPTS = {
-    "delta": (float, bound_engine.BoundConfig.delta, "blow-up set margin delta (> 0)"),
     "delta_m": (float, bound_engine.BoundConfig.delta_m, "free-wave floor constant delta_m (> 0, user-supplied; all bounds conditional on it)"),
 }
 
@@ -110,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def new_cmd(name: str, help_text: str, opts: dict, handler, with_out: bool = True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
         if with_out:
             p.add_argument("--out", type=str, default=None, help="output directory for artifacts [default: out]")
@@ -241,11 +240,12 @@ def _cmd_classify(cfg: dict) -> int:
 
 
 def _cmd_bound(cfg: dict) -> int:
-    bc = bound_engine.BoundConfig(params=_params(cfg), delta=cfg["delta"], delta_m=cfg["delta_m"])
+    bc = bound_engine.BoundConfig(params=_params(cfg), delta_m=cfg["delta_m"])
     bound = dataclasses.asdict(bound_engine.lifespan_upper_bound(bc))
-    # the fields of LifespanBound, with those of its constants (K, S_limit) in place of the nested record
-    C0 = math.exp(bound_engine.seed_constant(bc))
-    _emit({**bound.pop("constants"), **bound, "C0": C0, "delta_m": cfg["delta_m"], "conditional": True})
+    # LifespanBound's fields, its constants (K, S_limit) unnested, and C0 at the delta that certifies T_upper
+    delta = 2.0 * bound["T_upper"] / bc.delta_m  # inf (null) only for a T_upper within delta_m/2 of the float limit
+    C0 = math.exp(bound_engine.seed_constant(dataclasses.replace(bc, delta=min(delta, sys.float_info.max))))
+    _emit({**bound.pop("constants"), **bound, "C0": C0, "delta": delta, "delta_m": bc.delta_m, "conditional": True})
     return 0
 
 
@@ -301,10 +301,10 @@ def _cmd_sweep(cfg: dict) -> int:
         refinement_levels=cfg["refinement_levels"],
         form=solver.Form(cfg["form"]),
     )
-    bound = None
+    bounds = None
     if cfg["check_bound"]:  # before any solve: a bound beyond the float range exits 2 with nothing run or written
-        base = dataclasses.replace(spec.params_base, eps=spec.eps_values[0])  # the smallest eps, largest T_upper
-        bound = bound_engine.lifespan_upper_bound(bound_engine.BoundConfig(base, cfg["delta"], cfg["delta_m"]))
+        configs = [bound_engine.BoundConfig(dataclasses.replace(spec.params_base, eps=eps), delta_m=cfg["delta_m"]) for eps in spec.eps_values]
+        bounds = tuple(bound_engine.lifespan_upper_bound(bc) for bc in configs)
     result = experiments.sweep(spec, jobs=cfg["jobs"])
     out = _out_dir(cfg)
 
@@ -320,8 +320,8 @@ def _cmd_sweep(cfg: dict) -> int:
     fit_ok = not result.survived_eps and slope_ok and result.r_squared >= 0.95
     points = [[pt.eps, pt.T_num, pt.refinement_agreement] for pt in result.points]
     summary = {**dataclasses.asdict(result), "points": points, "pass": bool(fit_ok)}
-    if bound is not None:
-        report = experiments.check_upper_bound(spec, result, bound, cfg["delta_m"])
+    if bounds is not None:
+        report = experiments.check_upper_bound(spec, result, bounds, cfg["delta_m"])
         rows = [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows]
         summary["bound_check"] = {**dataclasses.asdict(report), "rows": rows}
         (out / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")

@@ -89,7 +89,7 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     resid = ly - (slope * lx + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot  # constant data: the fit is that constant
     return float(slope), float(intercept), r2
 
 
@@ -177,17 +177,15 @@ class BoundCheckReport:
     note: str = ""
 
 
-def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bound: LifespanBound, delta_m: float) -> BoundCheckReport:
-    """Assert T_num <= C eps^(-exponent) for every eps of `sweep_result`,
-    the result of `sweep(spec)`, with C and the exponent of `bound`, the
-    lifespan bound at spec's parameters under `delta_m`.  They do not
-    depend on eps, so one bound serves every row.  A bound below the first
-    time step is flagged vacuous (unresolvable at this resolution) but
-    still compared.
+def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bounds: tuple[LifespanBound, ...], delta_m: float) -> BoundCheckReport:
+    """Assert T_num <= T_upper for every eps of `sweep_result`, the result
+    of `sweep(spec)`, with T_upper from `bounds`: the lifespan bound at
+    spec's parameters under `delta_m` for each eps, in eps order.  A bound
+    below the first time step is flagged vacuous (unresolvable at this
+    resolution) but still compared.
     """
     rows = []
-    for pt in sweep_result.points:
-        T_upper = bound.C * pt.eps ** (-bound.exponent)
+    for pt, T_upper in zip(sweep_result.points, (bound.T_upper for bound in bounds), strict=True):
         ok = pt.T_num is not None and pt.T_num <= T_upper
         rows.append(BoundCheckRow(eps=pt.eps, T_num=pt.T_num, T_upper=T_upper, ok=ok, vacuous=T_upper < spec.grid.dt))
     note = "bound vacuous at this resolution for some eps" if any(r.vacuous for r in rows) else ""

@@ -247,20 +247,24 @@ class TestLifespanUpperBound:
             alpha = lifespan_exponent(cfg.params)
             assert bound.exponent == alpha
 
-    def test_eps_scaling_exact(self):
+    def test_eps_scaling_tends_to_the_power_law(self):
+        # T = T_inf (1 + delta_m/(2T))^((kbar+1) alpha) with T_inf ~ eps^(-alpha):
+        # at T ~ 5e9 the delta factor moves the ratio by about 1e-10, and C =
+        # T eps^alpha rises with eps
         b1 = lifespan_upper_bound(make_cfg(eps=1.0))
         b2 = lifespan_upper_bound(make_cfg(eps=2.0))
-        assert b2.T_upper / b1.T_upper == pytest.approx(2.0 ** (-b1.exponent), rel=1e-13)
-        assert b2.C == b1.C
+        assert b1.T_upper == pytest.approx(5.4358e9, rel=1e-4)
+        assert b2.T_upper / b1.T_upper == pytest.approx(2.0 ** (-b1.exponent), rel=1e-9)
+        assert b1.C < b2.C
 
     def test_M_scaling(self):
         b1 = lifespan_upper_bound(make_cfg(M=1.0))
         b2 = lifespan_upper_bound(make_cfg(M=2.0))
         denom = 2.0 / (2.0 - 1.0) - 1.0 - 0.5  # 2/(p-1) - mu/2 - kbar
-        assert b2.C / b1.C == pytest.approx(2.0 ** (-1.0 / denom), rel=1e-12)
+        assert b2.C / b1.C == pytest.approx(2.0 ** (-1.0 / denom), rel=1e-9)
 
-    # exp overflows at p = 2.33; at p = 2.30 C eps^(-exponent) is inf at
-    # eps = 1e-8 and the power overflows at eps = 1e-13
+    # log T_upper is 2 581 at p = 2.33 and eps = 1, and 734 and 1 033 at
+    # p = 2.30 and eps = 1e-8 and 1e-13, beyond log(float max) = 709.78
     @pytest.mark.parametrize("p, eps", [(2.33, 1.0), (2.30, 1e-8), (2.30, 1e-13)])
     def test_beyond_the_float_range_names_log_T_upper(self, p, eps):
         with pytest.raises(OverflowError, match=r"^math range error: .*log T_upper = ") as info:
@@ -279,8 +283,8 @@ class TestLifespanUpperBound:
                 bound = lifespan_upper_bound(cfg)
             except OverflowError:
                 continue
-            assert math.isfinite(bound.C) and math.isfinite(bound.T_upper)
-            assert bound.T_upper == bound.C * cfg.params.eps ** (-bound.exponent)
+            assert math.isfinite(bound.C) and 1.0 <= bound.T_upper < math.inf
+            assert bound.T_upper == pytest.approx(bound.C * cfg.params.eps ** (-bound.exponent), rel=1e-12)
 
     def test_precondition_names_inequality(self):
         # the first failed hypothesis of the blow-up result is named
@@ -317,53 +321,103 @@ class TestLifespanUpperBound:
         assert bound.exponent == alpha
 
     def test_threshold_consistency_on_ray(self):
-        # the smallest t > 1 on the ray r = t + max(2t/delta_m, delta) with J > 0:
-        # where the ray lies on its 2t/delta_m branch at T_upper, J there is affine
-        # in log t with slope 1/alpha and root log T_upper, so the two agree to
-        # rounding; on the delta branch J lies below that line and its root comes
-        # later, checked to a factor 2 (this seed draws no such case)
+        # with delta = 2 T_upper/delta_m, J vanishes at (T_upper, T_upper (1 + 2/delta_m)),
+        # and the smallest t > 1 on the ray r = t + max(2t/delta_m, delta) with J > 0 is T_upper:
+        # below it the ray lies on its delta branch, where J is lower still
         rng = np.random.default_rng(101)
-        checked = tight = 0
+        checked = 0
         while checked < 100:
             cfg0 = random_valid_cfg(rng, n_max=6)
-            try:
-                b0 = lifespan_upper_bound(cfg0)
-            except (HypothesisError, ValueError):
-                continue
+            b0 = lifespan_upper_bound(cfg0)
             T_target = float(rng.uniform(2.0, 100.0))
             eps = (b0.C / T_target) ** (1.0 / b0.exponent)
             if not 1e-8 < eps < 1e8:
                 continue
-            P = cfg0.params
-            cfg = BoundConfig(
-                params=ModelParams(n=P.n, mu=P.mu, nu=P.nu, p=P.p, kbar=P.kbar, M=P.M, eps=eps),
-                delta=cfg0.delta,
-                delta_m=cfg0.delta_m,
-            )
+            cfg = dataclasses.replace(cfg0, params=dataclasses.replace(cfg0.params, eps=eps))
             bound = lifespan_upper_bound(cfg)
+            if bound.T_upper == 1.0:
+                continue
+            cfg = dataclasses.replace(cfg, delta=2.0 * bound.T_upper / cfg.delta_m)
             consts = derive_K(cfg)
+            T = bound.T_upper
+            assert J(T, T * (1.0 + 2.0 / cfg.delta_m), consts, cfg) == pytest.approx(0.0, abs=1e-12 * max(1.0, math.log(T)))
             ray = lambda t: t + max(2.0 * t / cfg.delta_m, cfg.delta)
             f = lambda t: J(t, ray(t), consts, cfg)
-            lo, hi = 1.0 + 1e-9, max(4.0 * bound.T_upper, 4.0)
-            while f(hi) <= 0:
-                hi *= 2.0
-            if f(lo) > 0:
-                t_star = lo
-            else:
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if f(mid) > 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                t_star = 0.5 * (lo + hi)
-            if 2.0 * bound.T_upper / cfg.delta_m >= cfg.delta:
-                assert t_star == pytest.approx(bound.T_upper, rel=1e-12, abs=0.0)
-                tight += 1
-            else:
-                assert 0.5 <= t_star / bound.T_upper <= 2.0
+            lo, hi = 1.0 + 1e-9, 4.0 * T
+            assert f(lo) <= 0 < f(hi)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(mid) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            assert 0.5 * (lo + hi) == pytest.approx(T, rel=1e-12, abs=0.0)
             checked += 1
-        assert tight > 0
+
+    def test_certified_at_every_eps_and_never_worse_than_a_fixed_delta(self):
+        # on random draws with T_upper > 1, J = 0 at the ray point with delta = 2 T_upper/delta_m;
+        # wherever a fixed delta certified its own bound (2 T_delta/delta_m >= delta), the
+        # new bound is no larger.  T_delta comes from J: on r = t (1 + 2/delta_m), J is affine
+        # in log t with slope 1/alpha
+        rng = np.random.default_rng(7)
+        checked = compared = 0
+        while checked < 1000:
+            cfg = random_valid_cfg(rng)
+            cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, eps=float(10.0 ** rng.uniform(-3.0, 3.0))))
+            try:
+                bound = lifespan_upper_bound(cfg)
+            except OverflowError:
+                continue
+            assert bound.T_upper >= 1.0
+            if bound.T_upper == 1.0:
+                continue
+            T, consts, a = bound.T_upper, derive_K(cfg), bound.exponent
+            ray = 1.0 + 2.0 / cfg.delta_m
+            at_fixed_point = dataclasses.replace(cfg, delta=2.0 * T / cfg.delta_m)
+            assert abs(J(T, T * ray, consts, at_fixed_point)) <= 1e-12 * max(1.0, abs(math.log(T)))
+            for delta in (0.25, 1.0, 4.0, 10.0):
+                cfg_d = dataclasses.replace(cfg, delta=delta)
+                log_T_d = 1.0 - a * J(math.e, math.e * ray, consts, cfg_d)
+                if log_T_d < math.log(sys.float_info.max) and 2.0 * math.exp(log_T_d) / cfg.delta_m >= delta:
+                    assert T <= math.exp(log_T_d) * (1.0 + 1e-12)
+                    compared += 1
+            checked += 1
+        assert compared > 1000
+
+    def test_found_36_point(self):
+        # at delta = 10 the old bound, 3.0, lay on the delta branch, where J < 0;
+        # J first turns positive on that ray at 3.816
+        bound = lifespan_upper_bound(make_cfg(n=3, mu=0.0, p=2.0, kbar=0.5, eps=29101.6))
+        assert bound.T_upper == pytest.approx(3.159, abs=5e-4)
+
+    def test_root_matches_an_independent_high_precision_solve(self):
+        # the root of J(e^x, e^x (1 + 2/delta_m)) = 0 at delta = 2 e^x/delta_m, restated from
+        # the formulas of the seed constant and J and solved at 50 digits
+        import mpmath
+
+        mp = mpmath.mp
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 200:
+            cfg = random_valid_cfg(rng)
+            cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, eps=float(10.0 ** rng.uniform(-3.0, 3.0))))
+            try:
+                bound = lifespan_upper_bound(cfg)
+            except OverflowError:
+                continue
+            P = cfg.params
+            with mpmath.workdps(50):
+                p, mu, kbar, m, dm, S = (mp.mpf(v) for v in (P.p, P.mu, P.kbar, P.m, cfg.delta_m, bound.constants.S_limit))
+                A = m + 1 - mu / 2 + 2 / (p - 1)
+
+                def g(x):
+                    delta = 2 * mp.exp(x) / dm
+                    log_C0 = mp.log(P.eps) + (m - 2) * mp.log(2) + mp.log(P.M) - m * mp.log(dm) + (kbar + 1) * mp.log(delta / (1 + delta))
+                    return log_C0 - S + A * x - (kbar + 1 + m) * (x + mp.log(2 + 2 / dm))
+
+                expected = max(float(mp.findroot(g, mp.mpf(math.log(bound.T_upper)) + 1)), 0.0)
+            assert math.log(bound.T_upper) == pytest.approx(expected, rel=1e-12, abs=1e-12 if expected == 0.0 else 0.0)
+            checked += 1
 
 
 class TestFreeLowerBound:

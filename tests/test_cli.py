@@ -81,7 +81,7 @@ class TestBound:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"C0", "K", "S_limit", "C", "exponent", "T_upper", "delta_m", "conditional"}
+        assert set(payload) == {"C0", "K", "S_limit", "C", "exponent", "T_upper", "delta", "delta_m", "conditional"}
         assert payload["conditional"] is True
         assert payload["exponent"] == pytest.approx(2.0)
 
@@ -100,11 +100,14 @@ class TestBound:
         )
         assert code == 0
         payload = json.loads(out)
-        cfg = BoundConfig(params=ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5), delta=1.0, delta_m=1.0)
+        cfg = BoundConfig(params=ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5), delta_m=1.0)
         bound = lifespan_upper_bound(cfg)
         assert bound.constants == derive_K(cfg)
         consts = bound.constants
-        assert (payload["K"], payload["S_limit"], payload["C0"]) == (consts.K, consts.S_limit, math.exp(seed_constant(cfg)))
+        # C0 at the delta that certifies T_upper: (T_upper, 3 T_upper) is the corner of Sigma_delta
+        assert payload["delta"] == 2.0 * bound.T_upper
+        at_delta = BoundConfig(params=cfg.params, delta=payload["delta"], delta_m=1.0)
+        assert (payload["K"], payload["S_limit"], payload["C0"]) == (consts.K, consts.S_limit, math.exp(seed_constant(at_delta)))
         assert (payload["C"], payload["T_upper"]) == (bound.C, bound.T_upper)
 
     def test_precondition_exit_code(self, capsys):
@@ -114,19 +117,65 @@ class TestBound:
         assert code == 2
         assert "kbar" in err
 
-    @pytest.mark.parametrize("flag, name", [("--delta", "delta"), ("--delta-m", "delta_m")])
-    def test_infinite_region_constant_rejected(self, capsys, flag, name):
-        # an infinite delta gave "C": NaN and an infinite delta_m "C": Infinity, both not JSON
+    def test_infinite_region_constant_rejected(self, capsys):
+        # an infinite delta_m gave "C": Infinity, which is not JSON
         code, out, err = run_cli(
-            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2", flag, "inf"
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2", "--delta-m", "inf"
         )
         assert code == 2
         assert out == ""
-        assert f"{name} must be finite, got inf" in err
+        assert "delta_m must be finite, got inf" in err
 
-    # near the Fujita curve T_upper leaves the float range: exp overflows at
-    # p = 2.33; at p = 2.30 C eps^(-exponent) is inf at eps = 1e-8 and the
-    # power overflows at 1e-13
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_delta_is_not_an_option(self, capsys, tmp_path, command):
+        # the bound takes delta at its fixed point 2 T_upper/delta_m
+        assert main([command, "--help"]) == 0
+        assert "--delta " not in capsys.readouterr().out
+        args = [command, "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2"]
+        if command == "sweep":
+            args += ["--eps-values", "2,4,6,10", "--r-max", "20", "--t-max", "4", "--check-bound", "--out", str(tmp_path / "sw")]
+        code, out, err = run_cli(capsys, *args, "--delta", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --delta 1" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 1\n")
+        code, out, err = run_cli(capsys, *args, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}:1: unknown config key 'delta'" in err
+        assert not (tmp_path / "sw").exists()
+
+    def test_delta_beyond_the_float_range_is_null(self, capsys):
+        # T_upper = 1.64e308 is finite, but delta = 2 T_upper/delta_m is not
+        code, out, _ = run_cli(
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2.3", "--eps", "2.54e-8"
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["T_upper"] > 1e308 and payload["delta"] is None
+        assert 0.0 < payload["C0"] < math.inf
+
+    # J needs t > 1, so T_upper is at least 1: these printed 0.064 and 0.0
+    @pytest.mark.parametrize(
+        "args, C",
+        [
+            (("--p", "1.8", "--M", "0.02", "--eps", "1e9"), 1e9),
+            (("--p", "2", "--eps", "1e300"), None),  # C = 1e600 is beyond the float range
+        ],
+    )
+    def test_T_upper_is_at_least_one(self, capsys, args, C):
+        code, out, _ = run_cli(capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", *args)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["T_upper"] == 1.0
+        assert payload["delta"] == 2.0
+        if C is None:
+            assert payload["C"] is None
+        else:
+            assert payload["C"] == pytest.approx(C, rel=1e-14)
+
+    # near the Fujita curve T_upper leaves the float range: log T_upper is
+    # 2 581 at p = 2.33 and eps = 1, and 734 and 1 033 at p = 2.30 and
+    # eps = 1e-8 and 1e-13
     @pytest.mark.parametrize("p, eps", [("2.33", "1"), ("2.30", "1e-8"), ("2.30", "1e-13")])
     def test_bound_beyond_the_float_range_exits_2(self, capsys, p, eps):
         code, out, err = run_cli(

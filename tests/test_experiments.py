@@ -30,6 +30,11 @@ def fast_spec(levels=1):
     )
 
 
+def bounds_for(spec):
+    """The lifespan bound at spec's parameters for each eps (delta_m = 1)."""
+    return tuple(lifespan_upper_bound(BoundConfig(params=dataclasses.replace(spec.params_base, eps=e))) for e in spec.eps_values)
+
+
 class TestFitPowerLaw:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_recovers_synthetic_exponent(self, a):
@@ -47,6 +52,15 @@ class TestFitPowerLaw:
         slope, _, r2 = fit_power_law(eps, c * eps ** (-a))
         assert abs(slope + a) < 1e-10
         assert r2 > 1.0 - 1e-10
+
+    @pytest.mark.parametrize("level", [1.0, 1e100, 1e-100])
+    def test_constant_data_fit_exactly(self, level):
+        # ss_tot = 0: the least-squares line is the constant, whatever the
+        # rounding in the residuals
+        slope, intercept, r2 = fit_power_law(np.array([1.0, 2.0, 3.0, 4.0]), np.array([level] * 4))
+        assert r2 == 1.0
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert intercept == pytest.approx(math.log(level), rel=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -124,25 +138,24 @@ class TestCheckUpperBound:
             eps_values=(2.0, 4.0, 6.0, 10.0),
             grid=GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7),
         )
-        report = check_upper_bound(spec, sweep(spec, jobs=1), lifespan_upper_bound(BoundConfig(params=params)), 1.0)
+        bounds = bounds_for(spec)
+        report = check_upper_bound(spec, sweep(spec, jobs=1), bounds, 1.0)
         assert report.conditional is True
         assert report.delta_m == 1.0
         assert report.all_ok
-        for row in report.rows:
+        for row, bound in zip(report.rows, bounds):
             assert row.T_num <= row.T_upper
-            # one bound serves every eps: each row is the per-eps bound, bitwise
-            bound = lifespan_upper_bound(BoundConfig(params=dataclasses.replace(params, eps=row.eps)))
-            assert row.T_upper == bound.T_upper
+            assert row.T_upper == bound.T_upper  # each row is its eps's bound, bitwise
 
     def test_vacuous_bound_flagged(self):
         # fabricated sweep output: a bound below the first time step is
-        # marked vacuous but still compared
+        # marked vacuous but still compared; T_upper >= 1, so the step is 1.4
         params = ModelParams(n=3, mu=0.0, nu=0.0, p=2.0, kbar=0.5, M=1.0, eps=2.0)
         big_eps = 1e14
         spec = SweepSpec(
             params_base=params,
             eps_values=(1.0, 2.0, 3.0, big_eps),
-            grid=GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7),
+            grid=GridSpec(dr=2.0, r_max=40.0, t_max=8.0, cfl=0.7),
         )
         fake = SweepResult(
             points=(
@@ -157,8 +170,9 @@ class TestCheckUpperBound:
             alpha_theory=2.0 / 3.0,
             survived_eps=(),
         )
-        report = check_upper_bound(spec, fake, lifespan_upper_bound(BoundConfig(params=params)), 1.0)
-        assert report.rows[-1].vacuous
+        report = check_upper_bound(spec, fake, bounds_for(spec), 1.0)
+        assert [row.vacuous for row in report.rows] == [False, False, False, True]
+        assert report.rows[-1].T_upper == 1.0
         assert "vacuous" in report.note
 
 
