@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "eps_values": (_float_list, REQUIRED, "comma-separated eps grid, strictly increasing, >= 4 values; required"),
         "refinement_levels": (int, experiments.SweepSpec.refinement_levels, "mesh refinement levels per eps (T_num from the finest)"),
         "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
-        "jobs": (int, None, "worker pool size; 1 or less runs serially [default: cpu count]"),
+        "jobs": (int, None, "parallel lanes: this process plus jobs - 1 forked workers; 1 or less runs serially [default: cpu count]"),
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
         **_BOUND_OPTS,
     }
@@ -213,9 +213,7 @@ def _params(cfg: dict) -> exponents.ModelParams:
 
 
 def _grid(cfg: dict) -> solver.GridSpec:
-    return solver.GridSpec(
-        dr=cfg["dr"], r_max=cfg["r_max"], t_max=cfg["t_max"], cfl=cfg["cfl"], u_threshold=cfg["u_threshold"]
-    )
+    return solver.GridSpec(**{k: cfg[k] for k in _GRID_OPTS})
 
 
 def _json(payload: dict) -> str:
@@ -305,8 +303,8 @@ def _cmd_sweep(cfg: dict) -> int:
     if cfg["check_bound"]:  # before any solve: a bound beyond the float range exits 2 with nothing run or written
         configs = [bound_engine.BoundConfig(dataclasses.replace(spec.params_base, eps=eps), delta_m=cfg["delta_m"]) for eps in spec.eps_values]
         bounds = tuple(bound_engine.lifespan_upper_bound(bc) for bc in configs)
+    out = _out_dir(cfg)  # before any solve: an unwritable --out exits 3 with nothing run
     result = experiments.sweep(spec, jobs=cfg["jobs"])
-    out = _out_dir(cfg)
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("eps,T_num,refinement_agreement\n")

@@ -4,8 +4,8 @@ An eps-sweep runs the solver across a geometric grid of data sizes,
 detects the blow-up time for each, and fits log T_num against log eps by
 unweighted least squares; the fitted slope is compared with the
 theoretical lifespan exponent (slope ~ -alpha).  Per-eps runs are
-independent work items, submitted longest first; results are assembled
-in eps order so worker parallelism never changes the output.
+independent tasks, taken longest first by the calling process and forked
+workers; results are keyed by (eps, level), so no lane changes the output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,41 +104,58 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     T_num is taken from the finest level; refinement_agreement is the
     relative change between the two finest levels.  Any eps that survives
     t_max at any level leaves the result incomplete and flagged.  `jobs`
-    worker processes run the solves (None: one per CPU; 1 or less: serially,
-    in this process).  Not threads: a leapfrog step makes about 11 numpy
-    calls, and threads hand the interpreter lock back and forth around each
-    one (criterion-7 sweep, 2-vCPU Xeon: two threads took 1.6x the wall time
-    of two processes).
+    lanes run the solves: this process and jobs - 1 forked workers, each fed
+    by a relay thread that only waits (None: a lane per CPU; 1 or less: no
+    worker, no thread).  Lanes are not threads: a leapfrog step makes about
+    11 numpy calls, and threads hand the interpreter lock back and forth
+    around each one (criterion-7 sweep, 2-vCPU Xeon: two threads took 1.6x
+    the wall time of two processes).
     """
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
 
-    # longest first (finest level, then ascending eps) so no worker idles
-    keys, tasks = [], []
+    # longest first (finest level, then ascending eps) so no lane idles at the end
+    todo = queue.SimpleQueue()
     for level in reversed(range(spec.refinement_levels)):
         grid = spec.grid.refined(2**level)
         for i, eps in enumerate(spec.eps_values):
-            keys.append((i, level))
-            tasks.append((spec.form, dataclasses.replace(base, eps=eps), grid))
+            todo.put(((i, level), (spec.form, dataclasses.replace(base, eps=eps), grid)))
+    lanes = (os.cpu_count() or 1) if jobs is None else jobs
+    forks = max(0, min(lanes, spec.refinement_levels * len(spec.eps_values)) - 1)  # this process is a lane too
+    for _ in range(forks + 1):
+        todo.put(None)  # one end mark per lane, after every task
 
-    if jobs is None:
-        jobs = max(1, os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = dict(zip(keys, pool.map(_sweep_task, tasks)))
+    def lane(solve) -> list:
+        return [(key, solve(task)) for key, task in iter(todo.get, None)]
+
+    if not forks:
+        results = dict(lane(_sweep_task))
     else:
-        results = dict(zip(keys, map(_sweep_task, tasks)))
+        import multiprocessing  # loaded only by a sweep that forks
+        from concurrent.futures import ThreadPoolExecutor
+        before = multiprocessing.active_children()
+        # the pool forks all its workers in its constructor, before any relay thread starts
+        with multiprocessing.Pool(forks) as pool, ThreadPoolExecutor(forks) as relays:
+            workers = [w for w in multiprocessing.active_children() if w not in before]
+
+            def relay(task):  # a worker that died never replies: stop waiting then
+                reply = pool.apply_async(_sweep_task, (task,))
+                while not reply.ready():
+                    if not all(w.is_alive() for w in workers):
+                        raise RuntimeError("a sweep worker process died")
+                    reply.wait(0.1)
+                return reply.get()
+
+            relayed = [relays.submit(lane, relay) for _ in range(forks)]
+            results = dict(lane(_sweep_task))
+            for future in relayed:
+                results.update(future.result())
 
     points = []
     for i, eps in enumerate(spec.eps_values):
         levels = [results[(i, level)] for level in range(spec.refinement_levels)]
-        if any(T is None for T in levels):
-            points.append(SweepPoint(eps=eps, T_num=None, refinement_agreement=None))
-            continue
-        T_fine = levels[-1]
-        agreement = None
-        if spec.refinement_levels >= 2:
-            agreement = abs(T_fine - levels[-2]) / T_fine
+        T_fine = None if None in levels else levels[-1]  # None: survived t_max at some level
+        agreement = abs(T_fine - levels[-2]) / T_fine if T_fine is not None and len(levels) >= 2 else None
         points.append(SweepPoint(eps=eps, T_num=T_fine, refinement_agreement=agreement))
 
     survived = tuple(pt.eps for pt in points if pt.T_num is None)

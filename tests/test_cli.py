@@ -420,6 +420,20 @@ class TestSimulate:
         assert not (tmp_path / "sim" / "snapshots_u.csv").exists()
 
 
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The arguments of each experiments.run call made in this process."""
+    calls = []
+    real_run = experiments.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", counting_run)
+    return calls
+
+
 class TestSweepCommand:
     def test_csv_cardinality_and_summary(self, capsys, tmp_path):
         out_dir = tmp_path / "sw"
@@ -464,16 +478,8 @@ class TestSweepCommand:
         assert payload["bound_check"]["conditional"] is True
         assert (out_dir / "bound_check.json").exists()
 
-    def test_check_bound_beyond_the_float_range_exits_2_before_any_write(self, capsys, tmp_path, monkeypatch):
+    def test_check_bound_beyond_the_float_range_exits_2_before_any_write(self, capsys, tmp_path, run_calls):
         # the bound is computed before any solve: the sweep runs nothing
-        calls = []
-        real_run = experiments.run
-
-        def counting_run(*args, **kwargs):
-            calls.append(args)
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "run", counting_run)
         out_dir = tmp_path / "swb"
         code, out, err = run_cli(
             capsys,
@@ -484,7 +490,20 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: math range error: ")
         assert not out_dir.exists()
-        assert calls == []
+        assert run_calls == []
+
+    def test_unwritable_out_exits_3_before_any_solve(self, capsys, tmp_path, run_calls):
+        # --out lies under a regular file: creating it fails before any solve
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--M", "0.02",
+            "--eps-values", "2,4,6,10", "--dr", "0.1", "--r-max", "250", "--t-max", "150", "--jobs", "1",
+            "--out", str(tmp_path / "file" / "x"),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ")
+        assert run_calls == []
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_eps_list_is_a_validation_error(self, capsys, tmp_path, source):
@@ -646,6 +665,15 @@ class TestHelp:
 
 
 class TestImportCost:
+    def test_loading_the_package_loads_no_pool(self):
+        # the sweep imports its pool machinery only when it forks
+        script = "import sys, blowuplab.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_no_code_path_needs_scipy(self, tmp_path):
         # a fresh interpreter in which every scipy import fails: the CLI's
         # closed-form paths and all three quadrature oracles must still run

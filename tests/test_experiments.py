@@ -1,11 +1,18 @@
+import contextlib
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowuplab import experiments
 from blowuplab.bound_engine import BoundConfig, lifespan_upper_bound
 from blowuplab.experiments import (
     SweepPoint,
@@ -17,7 +24,7 @@ from blowuplab.experiments import (
     sweep,
 )
 from blowuplab.exponents import HypothesisError, ModelParams
-from blowuplab.solver import Form, GridSpec
+from blowuplab.solver import ConfigurationError, Form, GridSpec
 
 FAST_GRID = GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7)
 FAST_PARAMS = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, M=1.0, eps=5.0)
@@ -100,10 +107,9 @@ class TestSweep:
         b = sweep(fast_spec(), jobs=1)
         assert a == b
 
-    def test_worker_count_is_immaterial(self):
-        a = sweep(fast_spec(), jobs=1)
-        b = sweep(fast_spec(), jobs=2)
-        assert a == b
+    @pytest.mark.parametrize("jobs", [0, 1, 2, 16])
+    def test_worker_count_is_immaterial(self, jobs):
+        assert sweep(fast_spec(), jobs=jobs) == sweep(fast_spec(), jobs=1)
 
     def test_refinement_agreement_reported(self):
         result = sweep(fast_spec(levels=2), jobs=2)
@@ -128,6 +134,108 @@ class TestSweep:
         assert len(result.survived_eps) == 4
         assert math.isnan(result.slope)
         assert "increase t_max or eps" in result.note
+
+
+def note_run_pids(monkeypatch, log_dir):
+    """Patch experiments.run to add a line to log_dir/<pid> per call; forked
+    workers inherit the patch."""
+    real_run = experiments.run
+
+    def noting_run(*args, **kwargs):
+        with open(log_dir / str(os.getpid()), "a", encoding="utf-8") as fh:
+            fh.write("run\n")
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", noting_run)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep ran for more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestLanes:
+    def test_the_calling_process_is_one_of_two_lanes(self, monkeypatch, tmp_path):
+        note_run_pids(monkeypatch, tmp_path)
+        with deadline(60.0):
+            sweep(fast_spec(), jobs=2)
+        runs = {int(path.name): len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()}
+        assert len(runs) == 2
+        assert os.getpid() in runs
+        assert sum(runs.values()) == len(FAST_EPS)
+
+    def test_every_task_runs_once_under_contention(self, monkeypatch, tmp_path):
+        # more lanes than cores, and a thread switch every microsecond, on
+        # the one queue all lanes take from
+        spec = SweepSpec(params_base=FAST_PARAMS, eps_values=tuple(5.0 * 1.1**k for k in range(12)), grid=FAST_GRID, refinement_levels=2)
+        expected = sweep(spec, jobs=1)
+        note_run_pids(monkeypatch, tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with deadline(60.0):
+                result = sweep(spec, jobs=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == expected
+        assert sum(len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()) == 24
+
+    @pytest.mark.parametrize(
+        "jobs, forks", [(-1, 0), (0, 0), (1, 0), (2, 1), (3, 2), (16, len(FAST_EPS) - 1), (None, min(os.cpu_count() or 1, len(FAST_EPS)) - 1)]
+    )
+    def test_forks_one_worker_per_lane_but_one_before_any_thread(self, monkeypatch, jobs, forks):
+        # threads alive at each fork, and during each run in this process
+        threads = threading.active_count()
+        at_fork, at_run = [], []
+        real_fork, real_run = os.fork, experiments.run
+
+        def noting_fork():
+            at_fork.append(threading.active_count())
+            return real_fork()
+
+        def noting_run(*args, **kwargs):
+            at_run.append(threading.active_count())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", noting_fork)
+        monkeypatch.setattr(experiments, "run", noting_run)
+        with deadline(60.0):
+            sweep(fast_spec(), jobs=jobs)
+        assert at_fork == [threads] * forks
+        if not forks:
+            assert at_run == [threads] * len(FAST_EPS)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_grid_raises_within_one_second(self):
+        spec = SweepSpec(params_base=FAST_PARAMS, eps_values=FAST_EPS, grid=dataclasses.replace(FAST_GRID, r_max=5.0))
+        with deadline(1.0), pytest.raises(ConfigurationError, match="r_max > t_max/cfl"):
+            sweep(spec, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    def test_a_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        # the pool replaces a worker that died, from one of its threads, but
+        # never answers the task the dead worker held
+        caller, real_run = os.getpid(), experiments.run
+
+        def dying_run(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", dying_run)
+        with deadline(10.0), pytest.raises(RuntimeError, match="worker"):
+            sweep(fast_spec(), jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestCheckUpperBound:
