@@ -126,10 +126,15 @@ class IterationConstants:
 
 @dataclass(frozen=True)
 class LifespanBound:
+    """T(eps) <= T_upper = C eps^(-exponent), certified by J at delta = 2 T_upper/delta_m (inf
+    beyond the float range), where the seed constant is C0 (at the largest float if inf)."""
+
     C: float
     exponent: float
     T_upper: float
     constants: IterationConstants
+    delta: float
+    C0: float
 
 
 def in_sigma(t: float, r: float, cfg: BoundConfig) -> bool:
@@ -235,7 +240,8 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
     return math.log(P.eps) - _eps_free_constant(consts, cfg, cfg.delta) + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
 
 
-_LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def _log_T_upper(cfg: BoundConfig, consts: IterationConstants, alpha: float) -> float:
@@ -257,8 +263,8 @@ def _log_T_upper(cfg: BoundConfig, consts: IterationConstants, alpha: float) -> 
 def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     """T(eps) <= T_upper = C eps^(-exponent), exponent = `lifespan_exponent`, with delta at
     its fixed point 2 T_upper/delta_m, the best bound that J certifies (cfg.delta is not
-    read); T_upper >= 1, as J needs t > 1.  C = T_upper eps^exponent depends on eps, and
-    is inf where only it leaves the float range.  Preconditions: the hypotheses of
+    read); T_upper >= 1, as J needs t > 1.  C = T_upper eps^exponent depends on eps; C and
+    C0 are inf where only they leave the float range.  Preconditions: the hypotheses of
     `classify`'s BlowUpTheorem1.  A T_upper beyond the float range raises OverflowError
     naming log T_upper."""
     P = cfg.params
@@ -267,9 +273,12 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     log_T = _log_T_upper(cfg, consts, exponent)
     if log_T > _LOG_FLOAT_MAX:
         raise OverflowError(f"math range error: T_upper is beyond the float range, log T_upper = {log_T:.6g}")
+    T_upper = math.exp(log_T)
+    delta = 2.0 * T_upper / cfg.delta_m
+    log_C0 = math.log(P.eps) + _log_seed_factor(cfg, min(delta, _FLOAT_MAX))
     log_C = log_T + exponent * math.log(P.eps)
-    C = math.exp(log_C) if log_C <= _LOG_FLOAT_MAX else math.inf
-    return LifespanBound(C=C, exponent=exponent, T_upper=math.exp(log_T), constants=consts)
+    C0, C = (math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf for x in (log_C0, log_C))
+    return LifespanBound(C=C, exponent=exponent, T_upper=T_upper, constants=consts, delta=delta, C0=C0)
 
 
 def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:

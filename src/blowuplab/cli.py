@@ -2,9 +2,10 @@
 
 Subcommands: classify, bound, simulate, sweep, atlas, converge.  Every
 subcommand prints a JSON summary to stdout; file-producing subcommands
-write their artifacts under --out with fixed names.  A flat key=value
-config file (--config) can supply any option; explicit flags win.  All
-outputs are pure functions of the effective configuration, so repeated
+write their artifacts under --out with fixed names, and a failed one
+leaves none of the --out directories it made.  A flat key=value config
+file (--config) can supply any option; explicit flags win.  All outputs
+are pure functions of the effective configuration, so repeated
 invocations are byte-identical.
 
 Exit codes: 0 success, 2 validation error or a result beyond the float range,
@@ -112,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
         if with_out:
-            p.add_argument("--out", type=str, default=None, help="output directory for artifacts [default: out]")
+            p.add_argument("--out", type=Path, default="out", help="output directory for artifacts [default: out]")
         _add_opts(p, opts)
-        p.set_defaults(handler=handler, opts=opts, with_out=with_out)
+        p.set_defaults(handler=handler, opts=opts)
         return p
 
     new_cmd("classify", "classify one (n, mu, nu, kbar, p) point", _POINT_OPTS, _cmd_classify, with_out=False)
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "eps_values": (_float_list, REQUIRED, "comma-separated eps grid, strictly increasing, >= 4 values; required"),
         "refinement_levels": (int, experiments.SweepSpec.refinement_levels, "mesh refinement levels per eps (T_num from the finest)"),
         "form": (_choice("u", "v"), "u", "solution form for the runs: u or v"),
-        "jobs": (int, None, "parallel lanes: this process plus jobs - 1 forked workers; 1 or less runs serially [default: cpu count]"),
+        "jobs": (int, None, "parallel lanes: this process plus jobs - 1 forked workers; 1 or less runs serially [default: usable CPU count]"),
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
         **_BOUND_OPTS,
     }
@@ -201,8 +202,7 @@ def _merge(args: argparse.Namespace) -> dict:
     missing = [dest for dest, value in merged.items() if value is REQUIRED]
     if missing:
         raise ValueError("missing required option(s): " + ", ".join("--" + m.replace("_", "-") for m in sorted(missing)))
-    if getattr(args, "with_out", False):
-        merged["out"] = args.out if args.out is not None else "out"
+    merged["out"] = getattr(args, "out", None)  # None: the subcommand writes no files
     return merged
 
 
@@ -226,12 +226,6 @@ def _emit(payload: dict) -> None:
     print(_json(payload), end="")
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_classify(cfg: dict) -> int:
     _emit(dataclasses.asdict(exponents.classify(_params(cfg))))
     return 0
@@ -240,10 +234,8 @@ def _cmd_classify(cfg: dict) -> int:
 def _cmd_bound(cfg: dict) -> int:
     bc = bound_engine.BoundConfig(params=_params(cfg), delta_m=cfg["delta_m"])
     bound = dataclasses.asdict(bound_engine.lifespan_upper_bound(bc))
-    # LifespanBound's fields, its constants (K, S_limit) unnested, and C0 at the delta that certifies T_upper
-    delta = 2.0 * bound["T_upper"] / bc.delta_m  # inf (null) only for a T_upper within delta_m/2 of the float limit
-    C0 = math.exp(bound_engine.seed_constant(dataclasses.replace(bc, delta=min(delta, sys.float_info.max))))
-    _emit({**bound.pop("constants"), **bound, "C0": C0, "delta": delta, "delta_m": bc.delta_m, "conditional": True})
+    # LifespanBound's fields with its constants (K, S_limit) unnested
+    _emit({**bound.pop("constants"), **bound, "delta_m": bc.delta_m, "conditional": True})
     return 0
 
 
@@ -264,7 +256,6 @@ def _run_payload(result: solver.SolverRun, with_history: bool) -> dict:
 def _cmd_simulate(cfg: dict) -> int:
     params = _params(cfg)
     grid = _grid(cfg)
-    out = _out_dir(cfg)
     times = cfg["snapshot_times"]
     with_history = bool(cfg["history"])
     both = cfg["form"] == "both"
@@ -281,12 +272,12 @@ def _cmd_simulate(cfg: dict) -> int:
         payload = _run_payload(runs[0], with_history)
     payload["files"] = [f"snapshots_{form.value}.csv" for form in forms]
     for name, result in zip(payload["files"], runs):
-        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+        with open(cfg["out"] / name, "w", encoding="utf-8", newline="") as fh:
             fh.write("t,r,u\n")
             for snap in result.snapshots if times else []:
                 for rv, uv in zip(snap.r, snap.u):
                     fh.write(f"{snap.t:.12g},{rv:.12g},{uv:.12g}\n")
-    (out / "run_summary.json").write_text(_json(payload), encoding="utf-8")
+    (cfg["out"] / "run_summary.json").write_text(_json(payload), encoding="utf-8")
     _emit(payload)
     return 0
 
@@ -303,10 +294,9 @@ def _cmd_sweep(cfg: dict) -> int:
     if cfg["check_bound"]:  # before any solve: a bound beyond the float range exits 2 with nothing run or written
         configs = [bound_engine.BoundConfig(dataclasses.replace(spec.params_base, eps=eps), delta_m=cfg["delta_m"]) for eps in spec.eps_values]
         bounds = tuple(bound_engine.lifespan_upper_bound(bc) for bc in configs)
-    out = _out_dir(cfg)  # before any solve: an unwritable --out exits 3 with nothing run
     result = experiments.sweep(spec, jobs=cfg["jobs"])
 
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(cfg["out"] / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("eps,T_num,refinement_agreement\n")
         for pt in result.points:
             t_field = "" if pt.T_num is None else f"{pt.T_num:.12g}"
@@ -322,8 +312,8 @@ def _cmd_sweep(cfg: dict) -> int:
         report = experiments.check_upper_bound(spec, result, bounds, cfg["delta_m"])
         rows = [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows]
         summary["bound_check"] = {**dataclasses.asdict(report), "rows": rows}
-        (out / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")
-    (out / "sweep_summary.json").write_text(_json(summary), encoding="utf-8")
+        (cfg["out"] / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")
+    (cfg["out"] / "sweep_summary.json").write_text(_json(summary), encoding="utf-8")
     _emit(summary)
     return 0
 
@@ -337,13 +327,12 @@ def _cmd_atlas(cfg: dict) -> int:
         p_grid=(cfg["p_min"], cfg["p_max"], cfg["p_count"]),
     )
     note = diagram.boundary_annotation(cfg["n"], cfg["mu"])  # raises for n + mu <= 1, before any write
-    out = _out_dir(cfg)
     files = []
     if cfg["format"] in ("csv", "both"):
-        result.to_csv(out / "atlas.csv")
+        result.to_csv(cfg["out"] / "atlas.csv")
         files.append("atlas.csv")
     if cfg["format"] in ("svg", "both"):
-        diagram.write_atlas_svg(result, out / "atlas.svg")
+        diagram.write_atlas_svg(result, cfg["out"] / "atlas.svg")
         files.append("atlas.svg")
     _emit({**note, "counts": result.verdict_counts(), "files": files})
     return 0
@@ -353,9 +342,8 @@ def _cmd_converge(cfg: dict) -> int:
     report = experiments.convergence_study(
         _params(cfg), _grid(cfg), levels=cfg["levels"], form=solver.Form(cfg["form"]), compare_time=cfg["compare_time"]
     )
-    out = _out_dir(cfg)
     payload = dataclasses.asdict(report)
-    (out / "convergence.json").write_text(_json(payload), encoding="utf-8")
+    (cfg["out"] / "convergence.json").write_text(_json(payload), encoding="utf-8")
     _emit(payload)
     return 0
 
@@ -366,18 +354,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    made = []  # the directories made for --out, innermost first
     try:
         cfg = _merge(args)
+        if cfg["out"] is not None:  # before the handler: an unwritable --out exits 3 with nothing computed
+            made = [d for d in (cfg["out"], *cfg["out"].parents) if not d.exists()]
+            cfg["out"].mkdir(parents=True, exist_ok=True)
         return args.handler(cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # internal assertion / unexpected state
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        code = 4
+    for d in made:  # a failed command leaves none of them behind empty
+        try:
+            d.rmdir()
+        except OSError:  # it holds a file, or was never made
+            pass
+    return code
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     relative change between the two finest levels.  Any eps that survives
     t_max at any level leaves the result incomplete and flagged.  `jobs`
     lanes run the solves: this process and jobs - 1 forked workers, each fed
-    by a relay thread that only waits (None: a lane per CPU; 1 or less: no
+    by a relay thread that only waits (None: a lane per usable CPU; 1 or less: no
     worker, no thread).  Lanes are not threads: a leapfrog step makes about
     11 numpy calls, and threads hand the interpreter lock back and forth
     around each one (criterion-7 sweep, 2-vCPU Xeon: two threads took 1.6x
@@ -120,8 +120,9 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
         grid = spec.grid.refined(2**level)
         for i, eps in enumerate(spec.eps_values):
             todo.put(((i, level), (spec.form, dataclasses.replace(base, eps=eps), grid)))
-    lanes = (os.cpu_count() or 1) if jobs is None else jobs
-    forks = max(0, min(lanes, spec.refinement_levels * len(spec.eps_values)) - 1)  # this process is a lane too
+    if jobs is None:  # the usable CPUs; some platforms lack os.sched_getaffinity
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    forks = max(0, min(jobs, spec.refinement_levels * len(spec.eps_values)) - 1)  # this process is a lane too
     for _ in range(forks + 1):
         todo.put(None)  # one end mark per lane, after every task
 

@@ -434,12 +434,4 @@ def atlas(n: int, mu: float, nu: float, k_grid: GridLike, p_grid: GridLike) -> A
             if v.lifespan_exponent is not None:
                 alphas[i, j] = v.lifespan_exponent
 
-    return AtlasResult(
-        n=n,
-        mu=mu,
-        nu=nu,
-        kbar_values=kbar_values,
-        p_values=p_values,
-        verdicts=verdicts,
-        alphas=alphas,
-    )
+    return AtlasResult(n, mu, nu, kbar_values, p_values, verdicts, alphas)

@@ -286,6 +286,11 @@ class TestLifespanUpperBound:
             assert math.isfinite(bound.C) and 1.0 <= bound.T_upper < math.inf
             assert bound.T_upper == pytest.approx(bound.C * cfg.params.eps ** (-bound.exponent), rel=1e-12)
 
+    def test_seed_constant_beyond_the_float_range_is_inf(self):
+        # like C, C0 leaves the float range on its own: the bound itself stands
+        bound = lifespan_upper_bound(make_cfg(M=1e10, eps=1e300))
+        assert (bound.T_upper, bound.delta, bound.C0) == (1.0, 2.0, math.inf)
+
     def test_precondition_names_inequality(self):
         # the first failed hypothesis of the blow-up result is named
         for kw in (dict(kbar=1.0, p=2.0, mu=2.0), dict(mu=6.0, p=3.0, kbar=-0.9), dict(mu=2.0, p=3.0, kbar=0.5)):
@@ -374,6 +379,7 @@ class TestLifespanUpperBound:
             T, consts, a = bound.T_upper, derive_K(cfg), bound.exponent
             ray = 1.0 + 2.0 / cfg.delta_m
             at_fixed_point = dataclasses.replace(cfg, delta=2.0 * T / cfg.delta_m)
+            assert (bound.delta, bound.C0) == (at_fixed_point.delta, math.exp(seed_constant(at_fixed_point)))
             assert abs(J(T, T * ray, consts, at_fixed_point)) <= 1e-12 * max(1.0, abs(math.log(T)))
             for delta in (0.25, 1.0, 4.0, 10.0):
                 cfg_d = dataclasses.replace(cfg, delta=delta)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowuplab import experiments, solver
-from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound, seed_constant
+from blowuplab import experiments, exponents, solver
+from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound
 from blowuplab.cli import _build_parser, _merge, main
 from blowuplab.experiments import SweepSpec
 from blowuplab.exponents import ModelParams
@@ -104,10 +104,7 @@ class TestBound:
         bound = lifespan_upper_bound(cfg)
         assert bound.constants == derive_K(cfg)
         consts = bound.constants
-        # C0 at the delta that certifies T_upper: (T_upper, 3 T_upper) is the corner of Sigma_delta
-        assert payload["delta"] == 2.0 * bound.T_upper
-        at_delta = BoundConfig(params=cfg.params, delta=payload["delta"], delta_m=1.0)
-        assert (payload["K"], payload["S_limit"], payload["C0"]) == (consts.K, consts.S_limit, math.exp(seed_constant(at_delta)))
+        assert (payload["K"], payload["S_limit"], payload["C0"], payload["delta"]) == (consts.K, consts.S_limit, bound.C0, bound.delta)
         assert (payload["C"], payload["T_upper"]) == (bound.C, bound.T_upper)
 
     def test_precondition_exit_code(self, capsys):
@@ -153,6 +150,15 @@ class TestBound:
         payload = strict_json(out)
         assert payload["T_upper"] > 1e308 and payload["delta"] is None
         assert 0.0 < payload["C0"] < math.inf
+
+    def test_C0_beyond_the_float_range_is_null(self, capsys):
+        # C0 = 2.7e309 leaves the float range on its own; this exited 2 although the bound stood
+        code, out, _ = run_cli(
+            capsys, "bound", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2", "--M", "1e10", "--eps", "1e300"
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert (payload["T_upper"], payload["delta"], payload["C0"]) == (1.0, 2.0, None)
 
     # J needs t > 1, so T_upper is at least 1: these printed 0.064 and 0.0
     @pytest.mark.parametrize(
@@ -562,6 +568,79 @@ class TestConvergeCommand:
         )
         assert code == 2
         assert f"compare_time must be finite, got {value}" in err
+
+
+@pytest.fixture
+def compute_calls(monkeypatch):
+    """The name of each exponents.atlas, solver.run and experiments.run call made in this process."""
+    calls = []
+    for module, name in ((exponents, "atlas"), (solver, "run"), (experiments, "run")):
+
+        def spy(*args, _real=getattr(module, name), _name=f"{module.__name__}.{name}", **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# each exits 2 once --out exists; the sweep fails a blow-up hypothesis and the
+# simulation the causal closure r_max > t_max/cfl
+FAILING = {
+    "sweep": ("sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "1", "--p", "2.5", "--eps-values", "1,2,3,4", "--r-max", "20", "--t-max", "4", "--jobs", "1"),
+    "simulate": ("simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--r-max", "5", "--t-max", "4"),
+}
+
+
+def tree(root: Path) -> dict:
+    """Every path under `root` with the bytes of each file (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in sorted(root.rglob("*"))}
+
+
+class TestOutDirectory:
+    # both left an empty --out behind
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_a_failed_command_leaves_no_out(self, capsys, tmp_path, command):
+        code, out, _ = run_cli(capsys, *FAILING[command], "--out", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert tree(tmp_path) == {}
+
+    def test_a_failed_command_removes_the_parents_it_made(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, *FAILING["simulate"], "--out", str(tmp_path / "a" / "b" / "c"))
+        assert code == 2
+        assert tree(tmp_path) == {}
+
+    @pytest.mark.parametrize("holds_a_file", [False, True])
+    def test_a_failed_command_leaves_an_existing_out_as_found(self, capsys, tmp_path, holds_a_file):
+        (tmp_path / "x").mkdir()
+        if holds_a_file:
+            (tmp_path / "x" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        before = tree(tmp_path)
+        for out_dir in (tmp_path / "x", tmp_path / "x" / "new"):
+            code, _, _ = run_cli(capsys, *FAILING["sweep"], "--out", str(out_dir))
+            assert code == 2
+            assert tree(tmp_path) == before
+
+    # an --out under a regular file: creating it fails before anything is computed.
+    # The no-p_S atlas exited 2 here: it raised before --out was made
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("atlas", "--n", "3", "--mu", "2", "--nu", "0", "--kbar-count", "4", "--p-count", "4"),
+            ("atlas", "--n", "2", "--mu", "-1.5", "--nu", "0"),
+            ("converge", "--n", "3", "--mu", "0", "--nu", "0", "--kbar", "0.5", "--p", "2", "--eps", "0.05",
+             "--form", "free", "--dr", "0.2", "--r-max", "10", "--t-max", "4"),
+            ("simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--eps", "0.05",
+             "--dr", "0.1", "--r-max", "8", "--t-max", "3"),
+        ],
+        ids=["atlas", "atlas-no-p_S", "converge", "simulate"],
+    )
+    def test_unwritable_out_exits_3_before_any_computation(self, capsys, tmp_path, compute_calls, args):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, *args, "--out", str(tmp_path / "file" / "x"))
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ")
+        assert compute_calls == []
 
 
 class TestConfigFile:

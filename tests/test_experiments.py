@@ -29,6 +29,7 @@ from blowuplab.solver import ConfigurationError, Form, GridSpec
 FAST_GRID = GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7)
 FAST_PARAMS = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, M=1.0, eps=5.0)
 FAST_EPS = (5.0, 7.5, 11.25, 16.875)
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def fast_spec(levels=1):
@@ -190,7 +191,7 @@ class TestLanes:
         assert sum(len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()) == 24
 
     @pytest.mark.parametrize(
-        "jobs, forks", [(-1, 0), (0, 0), (1, 0), (2, 1), (3, 2), (16, len(FAST_EPS) - 1), (None, min(os.cpu_count() or 1, len(FAST_EPS)) - 1)]
+        "jobs, forks", [(-1, 0), (0, 0), (1, 0), (2, 1), (3, 2), (16, len(FAST_EPS) - 1), (None, min(USABLE_CPUS, len(FAST_EPS)) - 1)]
     )
     def test_forks_one_worker_per_lane_but_one_before_any_thread(self, monkeypatch, jobs, forks):
         # threads alive at each fork, and during each run in this process
@@ -214,6 +215,16 @@ class TestLanes:
         if not forks:
             assert at_run == [threads] * len(FAST_EPS)
         assert multiprocessing.active_children() == []
+
+    def test_the_default_is_a_lane_per_usable_cpu(self, monkeypatch):
+        # under `taskset -c 0` on a 2-CPU host, os.cpu_count() still says 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forked, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+        with deadline(60.0):
+            sweep(fast_spec(), jobs=None)
+        assert forked == []
 
     def test_a_failing_grid_raises_within_one_second(self):
         spec = SweepSpec(params_base=FAST_PARAMS, eps_values=FAST_EPS, grid=dataclasses.replace(FAST_GRID, r_max=5.0))
