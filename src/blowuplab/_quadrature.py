@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 
-_ORDER, _BUDGET = 20, 200  # nodes per 1-D panel; panels one interval may use
+_ORDER, _BUDGET = 20, 200  # default nodes per 1-D panel; panels one interval may use
 
 
 @functools.cache
@@ -15,16 +15,18 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)  # (nodes, weights) on [-1, 1]; loads numpy.polynomial
 
 
-def integrate(f, lo, hi, rtol: float) -> np.ndarray:
+def integrate(f, lo, hi, rtol: float, order: int = _ORDER) -> np.ndarray:
     """Integral of f (array to array) over each [lo_i, hi_i], all in one pass.
 
-    A panel is accepted when its halves agree with it to within its share
-    of the interval times rtol times the running integral of |f| (that of
-    f can cancel to 0), and bisected otherwise.  Raises ArithmeticError on
+    A panel of `order` nodes is accepted when its halves agree with it to
+    within rtol times the larger of its own integral of |f| (so a steep
+    tail can stop at its rounding) and its share of the interval's running
+    one (that of f can cancel to 0), or to below the smallest normal float
+    (subnormal f has no relative precision), and bisected otherwise.  Raises ArithmeticError on
     a non-finite panel or when an interval needs more than _BUDGET panels,
     and ValueError unless each lo_i <= hi_i and both are finite.
     """
-    x, w = gauss_legendre(_ORDER)
+    x, w = gauss_legendre(order)
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise ValueError("quadrature bounds must be finite with lo <= hi")
@@ -47,7 +49,8 @@ def integrate(f, lo, hi, rtol: float) -> np.ndarray:
         if not np.all(np.isfinite(fine)):
             raise ArithmeticError("non-finite integrand in a quadrature panel")
         scale = (done_abs + np.bincount(owner, fine_abs, n))[owner]
-        ok = np.abs(fine - whole) * (hi - lo)[owner] <= rtol * scale * (b - a)
+        span, err = (hi - lo)[owner], np.abs(fine - whole)
+        ok = (err * span <= rtol * np.maximum(scale * (b - a), fine_abs * span)) | (err < np.finfo(float).tiny)
         done += np.bincount(owner[ok], fine[ok], n)
         done_abs += np.bincount(owner[ok], fine_abs[ok], n)
         owner, a, b = np.tile(owner[~ok], 2), np.r_[a[~ok], m[~ok]], np.r_[m[~ok], b[~ok]]

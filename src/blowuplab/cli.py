@@ -370,7 +370,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # internal assertion / unexpected state
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 4
-    for d in made:  # a failed command leaves none of them behind empty
+    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+        print("interrupted", file=sys.stderr)
+        code = 130
+    for d in made:  # a failed or interrupted command leaves none of them behind empty
         try:
             d.rmdir()
         except OSError:  # it holds a file, or was never made

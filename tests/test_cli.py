@@ -621,6 +621,31 @@ class TestOutDirectory:
             assert code == 2
             assert tree(tmp_path) == before
 
+    @pytest.fixture
+    def interrupted_sweep(self, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "sweep", interrupt)
+        return ("sweep", "--config", str(CONFIGS / "lifespan_sweep_c7.cfg"), "--jobs", "1")
+
+    @pytest.mark.parametrize("out", ["x", "a/b/c"])
+    def test_an_interrupted_command_exits_130_and_leaves_no_out(self, capsys, tmp_path, interrupted_sweep, out):
+        code, stdout, err = run_cli(capsys, *interrupted_sweep, "--out", str(tmp_path / out))
+        assert (code, stdout, err) == (130, "", "interrupted\n")
+        assert tree(tmp_path) == {}
+
+    @pytest.mark.parametrize("holds_a_file", [False, True])
+    def test_an_interrupted_command_leaves_an_existing_out_as_found(self, capsys, tmp_path, interrupted_sweep, holds_a_file):
+        (tmp_path / "x").mkdir()
+        if holds_a_file:
+            (tmp_path / "x" / "notes.txt").write_text("kept\n", encoding="utf-8")
+        before = tree(tmp_path)
+        for out_dir in (tmp_path / "x", tmp_path / "x" / "new"):
+            code, _, _ = run_cli(capsys, *interrupted_sweep, "--out", str(out_dir))
+            assert code == 130
+            assert tree(tmp_path) == before
+
     # an --out under a regular file: creating it fails before anything is computed.
     # The no-p_S atlas exited 2 here: it raised before --out was made
     @pytest.mark.parametrize(

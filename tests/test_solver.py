@@ -64,7 +64,7 @@ def full_grid_levels(form, params, grid, g=None):
     while True:
         yield t, up, u
         nxt = up.copy()
-        kernel(u, nxt, t, grid.n_nodes - 1, np.abs(u))
+        kernel.bind(u, nxt, grid.n_nodes - 1, np.abs(u))(t)
         nxt[-1] = u[-1]
         up, u, t = u, nxt, t + grid.dt
 
@@ -336,17 +336,56 @@ class TestFreeWaveAccuracy:
     )
     def test_quadrature_oracle_equals_vectorize_reference(self, g):
         def reference(t, r, g, eps):
-            # the oracle written with np.vectorize over g: same calls of g, same floats
+            # the oracle's gap scheme written with np.vectorize over g: same
+            # calls of g, same floats
             inner = r != 0.0
             out = np.full_like(r, eps * t * g(t))
             vg, rv = np.vectorize(g, otypes=[float]), r[inner]
-            out[inner] = eps / (2.0 * rv) * integrate(lambda s: s * vg(s), np.abs(rv - t), rv + t, rtol=1e-12)
+            lo, hi = np.abs(rv - t), rv + t
+            ends = np.sort(np.r_[lo, hi])
+            pieces = np.append(integrate(lambda s: s * vg(s), ends[:-1], ends[1:], rtol=1e-12, order=6), 0.0)
+            first, last = np.searchsorted(ends, lo), np.searchsorted(ends, hi)
+            sums = np.add.reduceat(pieces, np.c_[first, last].ravel())[::2]
+            out[inner] = eps / (2.0 * rv) * np.where(first < last, sums, 0.0)
             return out
 
         r = np.array([0.0, 0.05, 0.5, 1.0, 2.0, 3.7, 9.0])
         for t in (0.0, 0.5, 2.0):
             assert np.array_equal(exact_free_wave_n3(t, r, g, eps=1.5), reference(t, r, g, 1.5))
         assert exact_free_wave_n3(2.0, 3.7, g) == reference(2.0, np.array([3.7]), g, 1.0)[0]
+
+    def test_quadrature_oracle_on_random_radii(self):
+        # unsorted radii with duplicates and zeros, reaching gaps between
+        # endpoints deep in the Gaussian tail, some with subnormal s g(s);
+        # the closed form written with expm1 keeps its relative accuracy at
+        # small r t, and values below 1e-290 have none to compare
+        rng = np.random.default_rng(7)
+        gauss = lambda s: math.exp(-s * s)  # noqa: E731
+        for t in (0.0, *rng.uniform(0.0, 8.0, 24)):
+            r = rng.uniform(0.0, 30.0, 40)
+            r[:3] = [0.0, r[7], 0.0]
+            rng.shuffle(r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                closed = -np.exp(-((r - t) ** 2)) * np.expm1(-4.0 * r * t) / (4.0 * r)
+            closed[r == 0.0] = t * math.exp(-t * t)
+            normal = np.abs(closed) > 1e-290
+            np.testing.assert_allclose(exact_free_wave_n3(t, r, gauss)[normal], closed[normal], rtol=1e-11, atol=0.0)
+
+    def test_quadrature_oracle_calls_g_about_36_times_per_radius(self):
+        # the benchmark's finest free-wave snapshot: every gap between sorted
+        # endpoints takes 6 + 12 calls when its first halving is accepted
+        grid = GridSpec(dr=0.005, r_max=18.0, t_max=8.0, cfl=0.7)
+        tc = round(5.0 / grid.dt) * grid.dt
+        r = grid.radii()[: causal_node_count(grid, tc)]
+        calls = 0
+
+        def g(s):
+            nonlocal calls
+            calls += 1
+            return math.exp(-s * s)
+
+        exact_free_wave_n3(tc, r, g)
+        assert calls <= 40 * r.size
 
     @pytest.mark.parametrize(
         "t, r, name",
@@ -558,6 +597,81 @@ class TestCausalRegion:
         for snap in res.snapshots:
             assert snap.u.size == snap.r.size == causal_node_count(grid, snap.t)
         assert res.snapshots[-1].u.size == grid.n_nodes - 5000
+
+
+def window_per_step_run(form, params, grid, snapshot_times=()):
+    """`run` with the kernel's window cut to the causal region at every
+    step, m = max(N - j, 1) at level j: (T_num, t_end, amplitude history,
+    [(t, r, u)] of the snapshots)."""
+    kernel, r, dt, n_nodes = _Leapfrog(form, params, grid), grid.radii(), grid.dt, grid.n_nodes
+    u, au, up = np.zeros_like(r), np.empty_like(r), dt * params.eps * initial_data(r, params)
+    if form is Form.V:
+        up *= 1.0 - params.mu * dt / 2.0
+    pending, snaps, history = sorted(snapshot_times), [], []
+    t, amp, T_num, nc = 0.0, 0.0, None, n_nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, int(round(grid.t_max / dt)) + 1):
+            if j:
+                nc = max(n_nodes - j, 1)
+                if j > 1:
+                    kernel.bind(u, up, nc, au)(t)
+                u, up, t_prev, t = up, u, t, t + dt
+                new_amp = float(np.abs(u[:nc], au[:nc]).max())
+                history.append((t, new_amp))
+                if not math.isfinite(new_amp) or new_amp >= grid.u_threshold:
+                    T_num = t if not math.isfinite(new_amp) else t_prev + (grid.u_threshold - amp) / (new_amp - amp) * dt
+                    break
+                amp = new_amp
+            while pending and t + dt / 2.0 >= pending[0]:
+                pending.pop(0)
+                snaps.append((t, r[:nc].copy(), u[:nc].copy()))
+    return T_num, t, np.array(history), snaps
+
+
+class TestBlockWindow:
+    """`run` cuts the kernel's window to the causal region once per 64 steps;
+    the region must hold the floats of a window cut at every step."""
+
+    @staticmethod
+    def assert_same_run(form, params, grid, times):
+        res = run(form, params, grid, snapshot_times=times)
+        T_num, t_end, history, snaps = window_per_step_run(form, params, grid, times)
+        assert res.T_num == T_num and res.t_end == t_end
+        assert np.array_equal(res.amplitude_history, history, equal_nan=True)
+        assert len(res.snapshots) == len(snaps)
+        for snap, (t, r, u) in zip(res.snapshots, snaps):
+            assert snap.t == t and np.array_equal(snap.r, r) and np.array_equal(snap.u, u)
+        return res
+
+    @pytest.mark.parametrize("form", list(Form))
+    @pytest.mark.parametrize("steps", [40, 64, 65, 66, 200])
+    def test_survived_runs_of_one_or_more_blocks(self, form, steps):
+        # nu != 0 gives the u and v forms a mass term, dt^2 c != 0
+        params = replace(NU_PARAMS, eps=0.5)
+        grid = GridSpec(dr=0.1, r_max=26.0, t_max=steps * 0.07, cfl=0.7)
+        assert round(grid.t_max / grid.dt) == steps
+        res = self.assert_same_run(form, params, grid, [0.0, grid.t_max / 3.0, grid.t_max])
+        assert res.outcome == "Survived" and len(res.snapshots) == 3
+
+    @pytest.mark.parametrize("form", [Form.U, Form.V])
+    def test_threshold_stop(self, form):
+        res = self.assert_same_run(form, NU_PARAMS, kernel_grid(NU_PARAMS), [1.0, 2.5])
+        assert res.outcome == "BlewUp" and res.amplitude_history[-1, 1] >= res.grid.u_threshold
+
+    def test_non_finite_stop(self):
+        grid = replace(kernel_grid(BLOWUP_PARAMS), u_threshold=math.inf)
+        res = self.assert_same_run(Form.U, BLOWUP_PARAMS, grid, [1.0])
+        assert res.outcome == "BlewUp" and not np.isfinite(res.amplitude_history[-1, 1])
+
+    @pytest.mark.parametrize("form", list(Form))
+    @pytest.mark.parametrize("left", [1, 2, 3])
+    def test_window_ending_at_a_few_nodes(self, form, left):
+        # 130 steps on N = 130 + left nodes: the last level keeps `left` of them
+        params = replace(NU_PARAMS, eps=0.05)
+        grid = GridSpec(dr=0.1, r_max=(129.2 + left) * 0.1, t_max=130 * 0.07, cfl=0.7)
+        assert grid.n_nodes - round(grid.t_max / grid.dt) == left
+        res = self.assert_same_run(form, params, grid, [grid.t_max])
+        assert res.outcome == "Survived" and res.snapshots[-1].u.size == left
 
 
 class TestPositivityAndLowerBound:
