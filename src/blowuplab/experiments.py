@@ -3,9 +3,9 @@
 An eps-sweep runs the solver across a geometric grid of data sizes,
 detects the blow-up time for each, and fits log T_num against log eps by
 unweighted least squares; the fitted slope is compared with the
-theoretical lifespan exponent (slope ~ -alpha).  Per-eps runs are
-independent tasks, taken longest first by the calling process and forked
-workers; results are keyed by (eps, level), so no lane changes the output.
+theoretical lifespan exponent (slope ~ -alpha).  Each eps's chain of
+solves (`sweep`) is one task, taken longest first by the calling process
+and forked workers; results are keyed by (eps, level): no lane changes them.
 """
 
 from __future__ import annotations
@@ -93,44 +93,71 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _sweep_task(task: tuple[Form, ModelParams, GridSpec]) -> float | None:
-    return run(*task, collect_history=False).T_num
+# a cut level stops at 1.01 T, T of the solve before: T_num falls as dr
+# halves (criterion 7: by 0.01-0.13 %), and a later one costs a fallback
+T_MARGIN = 1.01
+# radius kept around the origin at the cut t_max (criterion 7: 100 and 200
+# cells), so that a peak at the origin lies R_OBS/2 inside the kept region
+R_OBS = 5.0
+
+
+def _sweep_chain(task: tuple[Form, ModelParams, GridSpec, int]) -> list[float | None]:
+    """T_num of each refinement level of one eps; see `sweep`."""
+    form, params, grid, levels = task
+    prev = run(form, params, dataclasses.replace(grid, dr=2.0 * grid.dr), collect_history=False)
+    Ts = []
+    for level in range(levels):
+        full, res = grid.refined(2**level), None
+        if prev.T_num is not None and prev.r_star <= R_OBS / 2:  # the solve before blew up at the origin
+            t_max = min(T_MARGIN * prev.T_num, full.t_max)
+            cut = dataclasses.replace(full, t_max=t_max, r_max=min(t_max / full.cfl + R_OBS, full.r_max))
+            res = run(form, params, cut, collect_history=False)
+            if cut != full and (res.T_num is None or res.r_star > cut.r_max - res.t_end / cut.cfl - R_OBS / 2):
+                res = None  # survived t_max', or peaked near the edge of the region it kept
+        prev = res or run(form, params, full, collect_history=False)
+        Ts.append(prev.T_num)
+    return Ts
 
 
 def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
-    """Run the solver per eps (and per refinement level), then fit the
-    power law over (eps, T_num).
+    """Run a chain of solves per eps, then fit the power law over (eps, T_num).
 
     T_num is taken from the finest level; refinement_agreement is the
     relative change between the two finest levels.  Any eps that survives
-    t_max at any level leaves the result incomplete and flagged.  `jobs`
-    lanes run the solves: this process and jobs - 1 forked workers, each fed
-    by a relay thread that only waits (None: a lane per usable CPU; 1 or less: no
-    worker, no thread).  Lanes are not threads: a leapfrog step makes about
-    11 numpy calls, and threads hand the interpreter lock back and forth
-    around each one (criterion-7 sweep, 2-vCPU Xeon: two threads took 1.6x
-    the wall time of two processes).
+    t_max at any level leaves the result incomplete and flagged.  A chain
+    is a pilot on spec.grid with 2 dr, then each level, cut to t_max' =
+    min(T_MARGIN T, t_max) and r_max' = min(t_max'/cfl + R_OBS, r_max) if
+    the solve before blew up at T with r_star <= R_OBS/2.  Causal values do
+    not depend on the domain size, so a cut run is the level's run while the
+    largest |u| lies in the region it keeps; it falls back to the full level
+    grid if it survives t_max' or its r_star lies within R_OBS/2 of the edge
+    of that region at its stop: a peak the cut leaves out puts r_star there,
+    unless a lower peak inside still tops the values at the edge.
+
+    `jobs` lanes run the chains, longest (smallest eps) first: this process
+    and jobs - 1 forked workers, each fed by a relay thread that only waits
+    (None: a lane per usable CPU; 1 or less: no worker, no thread).  Lanes
+    are not threads: a leapfrog step makes about 11 numpy calls, and threads
+    hand the interpreter lock back and forth around each one.
     """
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
 
-    # longest first (finest level, then ascending eps) so no lane idles at the end
+    # longest first (ascending eps) so no lane idles at the end
     todo = queue.SimpleQueue()
-    for level in reversed(range(spec.refinement_levels)):
-        grid = spec.grid.refined(2**level)
-        for i, eps in enumerate(spec.eps_values):
-            todo.put(((i, level), (spec.form, dataclasses.replace(base, eps=eps), grid)))
+    for i, eps in enumerate(spec.eps_values):
+        todo.put((i, (spec.form, dataclasses.replace(base, eps=eps), spec.grid, spec.refinement_levels)))
     if jobs is None:  # the usable CPUs; some platforms lack os.sched_getaffinity
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    forks = max(0, min(jobs, spec.refinement_levels * len(spec.eps_values)) - 1)  # this process is a lane too
+    forks = max(0, min(jobs, len(spec.eps_values)) - 1)  # this process is a lane too
     for _ in range(forks + 1):
         todo.put(None)  # one end mark per lane, after every task
 
     def lane(solve) -> list:
-        return [(key, solve(task)) for key, task in iter(todo.get, None)]
+        return [((i, level), T) for i, task in iter(todo.get, None) for level, T in enumerate(solve(task))]
 
     if not forks:
-        results = dict(lane(_sweep_task))
+        results = dict(lane(_sweep_chain))
     else:
         import multiprocessing  # loaded only by a sweep that forks
         from concurrent.futures import ThreadPoolExecutor
@@ -140,7 +167,7 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
             workers = [w for w in multiprocessing.active_children() if w not in before]
 
             def relay(task):  # a worker that died never replies: stop waiting then
-                reply = pool.apply_async(_sweep_task, (task,))
+                reply = pool.apply_async(_sweep_chain, (task,))
                 while not reply.ready():
                     if not all(w.is_alive() for w in workers):
                         raise RuntimeError("a sweep worker process died")
@@ -148,7 +175,7 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
                 return reply.get()
 
             relayed = [relays.submit(lane, relay) for _ in range(forks)]
-            results = dict(lane(_sweep_task))
+            results = dict(lane(_sweep_chain))
             for future in relayed:
                 results.update(future.result())
 

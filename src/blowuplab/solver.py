@@ -225,8 +225,9 @@ class Snapshot:
 @dataclass
 class SolverRun:
     """One run: T_num is the detected blow-up time, None if the run
-    survived the full t_max.  amplitude_history rows are (t, max |u| over
-    the causal region)."""
+    survived the full t_max, and r_star the radius of the largest |u| over
+    the causal region at the stop level (None if it survived).
+    amplitude_history rows are (t, max |u| over the causal region)."""
 
     form: Form
     params: ModelParams
@@ -235,6 +236,7 @@ class SolverRun:
     t_end: float
     amplitude_history: np.ndarray
     snapshots: list[Snapshot] = field(default_factory=list)
+    r_star: float | None = None
 
     @property
     def outcome(self) -> str:
@@ -324,7 +326,8 @@ def run(
                 take_due_snapshots(t, u, nc)
 
     hist = np.asarray(history) if history else np.empty((0, 2))
-    return SolverRun(form, params, grid, T_num, t, hist, snapshots)
+    r_star = None if T_num is None else float(r[np.argmax(au[:nc])])  # au holds |u| of the stop level
+    return SolverRun(form, params, grid, T_num, t, hist, snapshots, r_star)
 
 
 def discrete_energy(u_prev: np.ndarray, u_curr: np.ndarray, grid: GridSpec, n: int) -> float:

@@ -9,10 +9,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blowuplab import experiments
+from blowuplab import experiments, solver
 from blowuplab.bound_engine import BoundConfig, lifespan_upper_bound
 from blowuplab.experiments import (
     SweepPoint,
@@ -23,8 +23,8 @@ from blowuplab.experiments import (
     fit_power_law,
     sweep,
 )
-from blowuplab.exponents import HypothesisError, ModelParams
-from blowuplab.solver import ConfigurationError, Form, GridSpec
+from blowuplab.exponents import HypothesisError, ModelParams, fujita
+from blowuplab.solver import ConfigurationError, Form, GridSpec, run
 
 FAST_GRID = GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7)
 FAST_PARAMS = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, M=1.0, eps=5.0)
@@ -137,6 +137,83 @@ class TestSweep:
         assert "increase t_max or eps" in result.note
 
 
+def full_grid_sweep(monkeypatch, spec):
+    """`sweep(spec)` with every level on its full grid: an unbounded
+    T_MARGIN cuts neither t_max nor r_max."""
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "T_MARGIN", math.inf)
+        return sweep(spec, jobs=1)
+
+
+def note_run_grids(monkeypatch, pilot=None):
+    """Patch experiments.run to list the (grid, result) of each call; a
+    pilot's result (dr twice the sweep grid's) passes through `pilot` first."""
+    real_run, calls = experiments.run, []
+
+    def noting_run(form, params, grid, *args, **kwargs):
+        result = real_run(form, params, grid, *args, **kwargs)
+        if pilot is not None and grid.dr == 2 * FAST_GRID.dr:
+            result = pilot(result)
+        calls.append((grid, result))
+        return result
+
+    monkeypatch.setattr(experiments, "run", noting_run)
+    return calls
+
+
+class TestChain:
+    """Each eps runs as a pilot and then every level cut to what the origin
+    needs; a cut run that cannot vouch for its result reruns on the full grid."""
+
+    @given(
+        n=st.integers(2, 5),
+        form=st.sampled_from([Form.U, Form.V]),
+        mu=st.floats(0.0, 3.0),
+        kbar=st.floats(-0.95, 1.5),
+        p_frac=st.floats(0.05, 0.95),
+        nu_gap=st.floats(0.0, 1.0),
+        eps=st.floats(1.0, 20.0),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_chain_equals_the_full_grid_at_every_level(self, n, form, mu, kbar, p_frac, nu_gap, eps):
+        # blow-up hypotheses: kbar + mu/2 > 0, nu <= (mu/2)(mu/2 - 1), p < p_F(kbar + mu/2)
+        assume(kbar + mu / 2.0 > 0.1)
+        p = 1.0 + p_frac * (min(fujita(kbar + mu / 2.0), 4.0) - 1.0)
+        params = ModelParams(n=n, mu=mu, nu=0.25 * mu * (mu - 2.0) - nu_gap, p=p, kbar=kbar, eps=eps)
+        grid = GridSpec(dr=0.2, r_max=16.0, t_max=8.0, cfl=0.6)  # 0.6: stable up to n = 5
+        chained = experiments._sweep_chain((form, params, grid, 2))
+        full = [run(form, params, grid.refined(2**level), collect_history=False).T_num for level in range(2)]
+        assert chained == full  # bitwise, None for a run that survived
+
+    def test_a_pilot_that_underestimates_T_falls_back(self, monkeypatch):
+        spec = fast_spec(levels=2)
+        expected = full_grid_sweep(monkeypatch, spec)
+        calls = note_run_grids(monkeypatch, pilot=lambda res: dataclasses.replace(res, T_num=0.5 * res.T_num))
+        assert sweep(spec, jobs=1) == expected
+        # each level-0 cut stops at about 0.5 T, survives, and reruns on the full grid
+        level0 = [(grid, res) for grid, res in calls if grid.dr == FAST_GRID.dr]
+        assert [res.T_num is None for _, res in level0] == [True, False] * len(FAST_EPS)
+        assert [grid == FAST_GRID for grid, _ in level0] == [False, True] * len(FAST_EPS)
+
+    @pytest.mark.parametrize("pilot_says_origin", [False, True])
+    def test_data_peaking_off_the_origin_fall_back(self, monkeypatch, pilot_says_origin):
+        # a bump at r = 6 blows up there; a pilot that reports r_star = 0
+        # makes every level try a cut, which then peaks at the edge of the
+        # region it kept or survives
+        monkeypatch.setattr(solver, "initial_data", lambda r, params: params.M * np.exp(-((np.asarray(r, dtype=float) - 6.0) ** 2)))
+        spec = fast_spec(levels=2)
+        expected = full_grid_sweep(monkeypatch, spec)
+        calls = note_run_grids(monkeypatch, pilot=(lambda res: dataclasses.replace(res, r_star=0.0)) if pilot_says_origin else None)
+        assert sweep(spec, jobs=1) == expected
+        assert all(res.r_star > experiments.R_OBS / 2 for grid, res in calls if grid.dr < 2 * FAST_GRID.dr and res.T_num is not None)
+        cuts = [(grid, res) for grid, res in calls if grid.r_max < FAST_GRID.r_max]
+        if pilot_says_origin:
+            assert any(res.T_num is not None for _, res in cuts)  # blew up, but near the edge
+            assert any(res.T_num is None for _, res in cuts)
+        else:
+            assert cuts == []  # no solve blew up at the origin: nothing to cut for
+
+
 def note_run_pids(monkeypatch, log_dir):
     """Patch experiments.run to add a line to log_dir/<pid> per call; forked
     workers inherit the patch."""
@@ -172,7 +249,9 @@ class TestLanes:
         runs = {int(path.name): len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()}
         assert len(runs) == 2
         assert os.getpid() in runs
-        assert sum(runs.values()) == len(FAST_EPS)
+        # a lane takes whole chains: a pilot and one level per eps, no fallback
+        assert sum(runs.values()) == 2 * len(FAST_EPS)
+        assert all(count % 2 == 0 for count in runs.values())
 
     def test_every_task_runs_once_under_contention(self, monkeypatch, tmp_path):
         # more lanes than cores, and a thread switch every microsecond, on
@@ -188,13 +267,15 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
         assert result == expected
-        assert sum(len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()) == 24
+        # 12 chains of a pilot and two levels, none of which falls back
+        assert sum(len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()) == 36
 
     @pytest.mark.parametrize(
         "jobs, forks", [(-1, 0), (0, 0), (1, 0), (2, 1), (3, 2), (16, len(FAST_EPS) - 1), (None, min(USABLE_CPUS, len(FAST_EPS)) - 1)]
     )
     def test_forks_one_worker_per_lane_but_one_before_any_thread(self, monkeypatch, jobs, forks):
-        # threads alive at each fork, and during each run in this process
+        # threads alive at each fork, and during each run in this process;
+        # a lane per eps chain at most, whatever the number of levels
         threads = threading.active_count()
         at_fork, at_run = [], []
         real_fork, real_run = os.fork, experiments.run
@@ -210,10 +291,10 @@ class TestLanes:
         monkeypatch.setattr(os, "fork", noting_fork)
         monkeypatch.setattr(experiments, "run", noting_run)
         with deadline(60.0):
-            sweep(fast_spec(), jobs=jobs)
+            sweep(fast_spec(levels=2), jobs=jobs)
         assert at_fork == [threads] * forks
         if not forks:
-            assert at_run == [threads] * len(FAST_EPS)
+            assert at_run == [threads] * 3 * len(FAST_EPS)
         assert multiprocessing.active_children() == []
 
     def test_the_default_is_a_lane_per_usable_cpu(self, monkeypatch):

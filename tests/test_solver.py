@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -190,8 +191,20 @@ class TestRun:
         grid = GridSpec(dr=0.1, r_max=8.0, t_max=3.0, cfl=0.7)
         res = run(Form.U, params, grid)
         assert res.outcome == "Survived"
-        assert res.T_num is None
+        assert res.T_num is None and res.r_star is None
         assert res.t_end == pytest.approx(grid.t_max, abs=2 * grid.dt)
+
+    def test_r_star_is_the_origin_for_the_criterion_7_model(self):
+        params = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, M=0.02, eps=10.0)
+        res = run(Form.U, params, GridSpec(dr=0.2, r_max=100.0, t_max=60.0, cfl=0.7), collect_history=False)
+        assert res.T_num is not None
+        assert res.r_star == 0.0
+
+    def test_r_star_is_off_the_origin_for_a_bump_at_10(self):
+        grid = GridSpec(dr=0.1, r_max=30.0, t_max=8.0, cfl=0.7)
+        res = run(Form.U, BLOWUP_PARAMS, grid, g=lambda r: np.exp(-((r - 10.0) ** 2)), collect_history=False)
+        assert res.T_num is not None
+        assert abs(res.r_star - 10.0) < 0.5
 
     def test_non_finite_first_step_stops_there(self):
         grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
@@ -577,6 +590,79 @@ class TestKernelEquivalence:
         first_bad = next(k for k, w in enumerate(windows) if not np.all(np.isfinite(w)))
         assert first_bad == len(levels) - 1
         assert levels[first_bad][0] == res.T_num
+
+
+ODE_THRESHOLDS = (1e4, 1e8)
+# c = (mu/2)(mu/2 - 1) - nu: 0 for the first, 1.75 for the second
+ODE_PARAMS = (
+    ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, eps=1.0),
+    ModelParams(n=2, mu=3.0, nu=-1.0, p=1.5, kbar=0.5, eps=1.0),
+)
+
+
+@functools.cache
+def ode_crossings(params, method="DOP853", rtol=1e-13):
+    """Times at which U'' = (1+t)^(-w) |U|^p + c U/(1+t)^2, U(0) = 0,
+    U'(0) = eps, with w = mu(p-1)/2 and c = (mu/2)(mu/2 - 1) - nu, crosses
+    each of ODE_THRESHOLDS: the u-form with g = 1 in the causal region."""
+    from scipy.integrate import solve_ivp
+
+    w = params.mu * (params.p - 1.0) / 2.0
+    c = params.mu / 2.0 * (params.mu / 2.0 - 1.0) - params.nu
+
+    def rhs(t, y):
+        u, v = y.tolist()
+        return [v, (1.0 + t) ** -w * abs(u) ** params.p + c * u / (1.0 + t) ** 2]
+
+    events = [lambda t, y, level=level: y[0] - level for level in ODE_THRESHOLDS]
+    events[-1].terminal = True
+    sol = solve_ivp(rhs, (0.0, 100.0), [0.0, params.eps], method=method, rtol=rtol, atol=1e-20, events=events)
+    return tuple(float(times[0]) for times in sol.t_events)
+
+
+def flat_run(params, dr, threshold, snapshot_fractions=()):
+    """`run` with g = 1 up to 1.05 times the ODE's crossing time T; returns
+    (run, T)."""
+    T = ode_crossings(params)[ODE_THRESHOLDS.index(threshold)]
+    grid = GridSpec(dr=dr, r_max=1.05 * T / 0.7 + 2.0, t_max=1.05 * T, cfl=0.7, u_threshold=threshold)
+    times = [f * T for f in snapshot_fractions]
+    return run(Form.U, params, grid, g=np.ones_like, snapshot_times=times, collect_history=False), T
+
+
+@pytest.mark.filterwarnings("error")
+class TestFlatDataOracle:
+    """Every row of the stencil has D_i + A_i + B_i = 2, so flat data stay
+    flat in the causal region, where the scheme is then the leapfrog of the
+    ODE of `ode_crossings`: an exact blow-up time to measure T_num against."""
+
+    def test_reference_agrees_with_a_second_integrator(self):
+        dop853 = ode_crossings(ODE_PARAMS[0])
+        radau = ode_crossings(ODE_PARAMS[0], "Radau", 1e-10)  # agrees to 6e-14
+        for a, b in zip(dop853, radau, strict=True):
+            assert abs(a - b) <= 1e-12 * a
+        assert dop853 == pytest.approx((5.262854, 5.414343), abs=1e-6)
+
+    @pytest.mark.parametrize("params", ODE_PARAMS, ids=["c=0", "c=1.75"])
+    def test_causal_region_stays_flat_to_rounding(self, params):
+        res, _ = flat_run(params, 0.05, 1e8, snapshot_fractions=(0.25, 0.5, 0.75, 0.99))
+        assert len(res.snapshots) == 4
+        for snap in res.snapshots:
+            assert snap.u.size > 10
+            assert np.ptp(snap.u) <= 1e-11 * abs(snap.u[0])
+
+    # today's T_num - T_ode, rounded up at the third digit: a record of the
+    # thresholded scheme's lag, not a target; a change that lowers it lowers
+    # the record
+    BASELINE = [
+        (0, 0.2, 1e4, 6.30e-2), (0, 0.1, 1e4, 1.16e-2), (0, 0.05, 1e4, 2.98e-3), (0, 0.025, 1e4, 1.10e-3), (0, 0.0125, 1e4, 1.87e-4),
+        (0, 0.2, 1e8, 2.03e-1), (0, 0.1, 1e8, 1.16e-1), (0, 0.05, 1e8, 4.59e-2), (0, 0.025, 1e8, 1.36e-2), (0, 0.0125, 1e8, 4.93e-3),
+        (1, 0.1, 1e4, 9.09e-3), (1, 0.05, 1e4, 1.83e-3), (1, 0.1, 1e8, 4.53e-2), (1, 0.05, 1e8, 1.16e-2),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("case, dr, threshold, ceiling", BASELINE)
+    def test_T_num_lags_the_ode_by_at_most_the_recorded_error(self, case, dr, threshold, ceiling):
+        res, T = flat_run(ODE_PARAMS[case], dr, threshold)
+        assert 0.0 < res.T_num - T <= ceiling
 
 
 class TestCausalRegion:
