@@ -67,7 +67,6 @@ from .exponents import HypothesisError, ModelParams, _weight_exponent, lifespan_
 __all__ = [
     "BoundConfig",
     "IterationState",
-    "IterationConstants",
     "LifespanBound",
     "IterationStepReport",
     "in_sigma",
@@ -117,24 +116,20 @@ class IterationState:
 
 
 @dataclass(frozen=True)
-class IterationConstants:
-    """Derived constants of the iteration: K and the series limit S_limit."""
-
-    K: float
-    S_limit: float
-
-
-@dataclass(frozen=True)
 class LifespanBound:
     """T(eps) <= T_upper = C eps^(-exponent), certified by J at delta = 2 T_upper/delta_m (inf
-    beyond the float range), where the seed constant is C0 (at the largest float if inf)."""
+    beyond the float range), where the seed constant is C0 (at the largest float if inf).
+    K and S_limit are `derive_K`'s; the bound holds for the given delta_m only: conditional."""
 
     C: float
     exponent: float
     T_upper: float
-    constants: IterationConstants
+    K: float
+    S_limit: float
     delta: float
     C0: float
+    delta_m: float
+    conditional: bool
 
 
 def in_sigma(t: float, r: float, cfg: BoundConfig) -> bool:
@@ -153,11 +148,6 @@ def _log_seed_factor(cfg: BoundConfig, delta: float) -> float:
         - P.m * math.log(cfg.delta_m)
         - (P.kbar + 1.0) * math.log1p(1.0 / delta)
     )
-
-
-def _eps_free_constant(consts: IterationConstants, cfg: BoundConfig, delta: float) -> float:
-    """S_limit - log(C0/eps), the eps-free constant of J and of log T_upper."""
-    return consts.S_limit - _log_seed_factor(cfg, delta)
 
 
 def seed_constant(cfg: BoundConfig) -> float:
@@ -203,8 +193,8 @@ def closed_form(k: int, cfg: BoundConfig) -> tuple[float, float]:
     return a, b
 
 
-def derive_K(cfg: BoundConfig) -> IterationConstants:
-    """K and S_limit in closed form.
+def derive_K(cfg: BoundConfig) -> tuple[float, float]:
+    """(K, S_limit) in closed form.
 
     The minimand p^(2k) / (2^(p+1) (p a_k + 2)^2) equals
     1 / (2^(p+1) (A + (p B + 2) p^(-k))^2).  For A > 0 the bracket is
@@ -223,10 +213,10 @@ def derive_K(cfg: BoundConfig) -> IterationConstants:
     K = min(1.0 / (scale * (A + (p * B + 2.0) / p) ** 2), 1.0 / (scale * A * A))
     x = 1.0 / p
     S = math.log(p * p) * x / (1.0 - x) ** 2 - math.log(K) * x / (1.0 - x)
-    return IterationConstants(K=K, S_limit=S)
+    return K, S
 
 
-def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float:
+def J(t: float, r: float, cfg: BoundConfig) -> float:
     """Divergence functional; J > 0 at a Sigma_delta point forces blow-up.
 
     Requires t > 1 (the standing assumption of the estimate chain).
@@ -237,21 +227,21 @@ def J(t: float, r: float, consts: IterationConstants, cfg: BoundConfig) -> float
         raise ValueError(f"J requires r > 0, got {r}")
     P = cfg.params
     A, _ = _growth_coefficients(cfg)
-    return math.log(P.eps) - _eps_free_constant(consts, cfg, cfg.delta) + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
+    return seed_constant(cfg) - derive_K(cfg)[1] + A * math.log(t) - (P.kbar + 1.0 + P.m) * math.log(r + t)
 
 
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
-def _log_T_upper(cfg: BoundConfig, consts: IterationConstants, alpha: float) -> float:
+def _log_T_upper(cfg: BoundConfig, S_limit: float, alpha: float) -> float:
     """max(x, 0), x the root of J(e^x, e^x (1 + 2/delta_m)) = 0 at delta = 2 e^x/delta_m:
     x = L + c log(1 + (delta_m/2) e^(-x)), c = (kbar + 1) alpha, L = log T_inf the root as
     delta -> inf.  f(x) = x - RHS is increasing and concave; L and (L + c log(delta_m/2))/(1 + c)
     lie left of its root, and so does 0 unless f(0) >= 0, where Newton stops at once.  From
     the left, Newton's iterates rise monotonically to the root."""
     P = cfg.params
-    L = alpha * (_eps_free_constant(consts, cfg, math.inf) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m) - math.log(P.eps))
+    L = alpha * (S_limit - _log_seed_factor(cfg, math.inf) + (1.0 + P.kbar + P.m) * math.log(2.0 + 2.0 / cfg.delta_m) - math.log(P.eps))
     c, d = (P.kbar + 1.0) * alpha, cfg.delta_m / 2.0
     x, x_prev = max(L, (L + c * math.log(d)) / (1.0 + c), 0.0), -math.inf
     while x > x_prev:  # stops at the last rising iterate, where x - RHS >= 0
@@ -269,8 +259,8 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     naming log T_upper."""
     P = cfg.params
     exponent = lifespan_exponent(P)  # raises HypothesisError outside the blow-up region
-    consts = derive_K(cfg)
-    log_T = _log_T_upper(cfg, consts, exponent)
+    K, S_limit = derive_K(cfg)
+    log_T = _log_T_upper(cfg, S_limit, exponent)
     if log_T > _LOG_FLOAT_MAX:
         raise OverflowError(f"math range error: T_upper is beyond the float range, log T_upper = {log_T:.6g}")
     T_upper = math.exp(log_T)
@@ -278,7 +268,10 @@ def lifespan_upper_bound(cfg: BoundConfig) -> LifespanBound:
     log_C0 = math.log(P.eps) + _log_seed_factor(cfg, min(delta, _FLOAT_MAX))
     log_C = log_T + exponent * math.log(P.eps)
     C0, C = (math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf for x in (log_C0, log_C))
-    return LifespanBound(C=C, exponent=exponent, T_upper=T_upper, constants=consts, delta=delta, C0=C0)
+    # conditional: delta_m, the constant of the free-wave estimate, is an input, not derived here
+    return LifespanBound(
+        C=C, exponent=exponent, T_upper=T_upper, K=K, S_limit=S_limit, delta=delta, C0=C0, delta_m=cfg.delta_m, conditional=True
+    )
 
 
 def free_lower_bound(t: float, r: float, cfg: BoundConfig) -> float:

@@ -233,9 +233,7 @@ def _cmd_classify(cfg: dict) -> int:
 
 def _cmd_bound(cfg: dict) -> int:
     bc = bound_engine.BoundConfig(params=_params(cfg), delta_m=cfg["delta_m"])
-    bound = dataclasses.asdict(bound_engine.lifespan_upper_bound(bc))
-    # LifespanBound's fields with its constants (K, S_limit) unnested
-    _emit({**bound.pop("constants"), **bound, "delta_m": bc.delta_m, "conditional": True})
+    _emit(dataclasses.asdict(bound_engine.lifespan_upper_bound(bc)))
     return 0
 
 
@@ -309,7 +307,7 @@ def _cmd_sweep(cfg: dict) -> int:
     points = [[pt.eps, pt.T_num, pt.refinement_agreement] for pt in result.points]
     summary = {**dataclasses.asdict(result), "points": points, "pass": bool(fit_ok)}
     if bounds is not None:
-        report = experiments.check_upper_bound(spec, result, bounds, cfg["delta_m"])
+        report = experiments.check_upper_bound(spec, result, bounds)
         rows = [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows]
         summary["bound_check"] = {**dataclasses.asdict(report), "rows": rows}
         (cfg["out"] / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")

@@ -5,7 +5,8 @@ detects the blow-up time for each, and fits log T_num against log eps by
 unweighted least squares; the fitted slope is compared with the
 theoretical lifespan exponent (slope ~ -alpha).  Each eps's chain of
 solves (`sweep`) is one task, taken longest first by the calling process
-and forked workers; results are keyed by (eps, level): no lane changes them.
+and forked workers; no lane changes a chain's T_num, and a failure in any
+lane ends the sweep.  The bound check reports the delta_m of its bounds.
 """
 
 from __future__ import annotations
@@ -136,9 +137,10 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
 
     `jobs` lanes run the chains, longest (smallest eps) first: this process
     and jobs - 1 forked workers, each fed by a relay thread that only waits
-    (None: a lane per usable CPU; 1 or less: no worker, no thread).  Lanes
-    are not threads: a leapfrog step makes about 11 numpy calls, and threads
-    hand the interpreter lock back and forth around each one.
+    (None: a lane per usable CPU; 1 or less: no worker, no thread); a failure
+    in any lane ends the sweep.  Lanes are not threads: a leapfrog step makes
+    about 11 numpy calls, and threads hand the interpreter lock back and forth
+    around each one.
     """
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
@@ -154,7 +156,11 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
         todo.put(None)  # one end mark per lane, after every task
 
     def lane(solve) -> list:
-        return [((i, level), T) for i, task in iter(todo.get, None) for level, T in enumerate(solve(task))]
+        try:
+            return [(i, solve(task)) for i, task in iter(todo.get, None)]
+        except BaseException:
+            list(iter(todo.get, None))  # leave no chain to the other lanes: take every task up to an end mark
+            raise
 
     if not forks:
         results = dict(lane(_sweep_chain))
@@ -162,8 +168,9 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
         import multiprocessing  # loaded only by a sweep that forks
         from concurrent.futures import ThreadPoolExecutor
         before = multiprocessing.active_children()
-        # the pool forks all its workers in its constructor, before any relay thread starts
-        with multiprocessing.Pool(forks) as pool, ThreadPoolExecutor(forks) as relays:
+        # no relay thread exists before the first submit, so the pool forks first; on exit it ends
+        # its workers before the relays are joined
+        with ThreadPoolExecutor(forks) as relays, multiprocessing.Pool(forks) as pool:
             workers = [w for w in multiprocessing.active_children() if w not in before]
 
             def relay(task):  # a worker that died never replies: stop waiting then
@@ -181,7 +188,7 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
 
     points = []
     for i, eps in enumerate(spec.eps_values):
-        levels = [results[(i, level)] for level in range(spec.refinement_levels)]
+        levels = results[i]
         T_fine = None if None in levels else levels[-1]  # None: survived t_max at some level
         agreement = abs(T_fine - levels[-2]) / T_fine if T_fine is not None and len(levels) >= 2 else None
         points.append(SweepPoint(eps=eps, T_num=T_fine, refinement_agreement=agreement))
@@ -213,7 +220,7 @@ class BoundCheckRow:
 @dataclass(frozen=True)
 class BoundCheckReport:
     """Per-eps comparison T_num <= T_upper.  All rows are conditional on
-    the configured delta_m (the bound engine does not derive it)."""
+    the delta_m that their bounds share (the bound engine does not derive it)."""
 
     rows: tuple[BoundCheckRow, ...]
     delta_m: float
@@ -222,21 +229,24 @@ class BoundCheckReport:
     note: str = ""
 
 
-def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bounds: tuple[LifespanBound, ...], delta_m: float) -> BoundCheckReport:
+def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bounds: tuple[LifespanBound, ...]) -> BoundCheckReport:
     """Assert T_num <= T_upper for every eps of `sweep_result`, the result
     of `sweep(spec)`, with T_upper from `bounds`: the lifespan bound at
-    spec's parameters under `delta_m` for each eps, in eps order.  A bound
-    below the first time step is flagged vacuous (unresolvable at this
-    resolution) but still compared.
+    spec's parameters for each eps, in eps order, all under one delta_m
+    (ValueError otherwise), which the report carries.  A bound below the
+    first time step is flagged vacuous (unresolvable at this resolution)
+    but still compared.
     """
+    delta_ms = {bound.delta_m for bound in bounds}
+    if len(delta_ms) != 1:
+        raise ValueError(f"the bounds must share one delta_m, got {sorted(delta_ms)}")
     rows = []
     for pt, T_upper in zip(sweep_result.points, (bound.T_upper for bound in bounds), strict=True):
         ok = pt.T_num is not None and pt.T_num <= T_upper
         rows.append(BoundCheckRow(eps=pt.eps, T_num=pt.T_num, T_upper=T_upper, ok=ok, vacuous=T_upper < spec.grid.dt))
     note = "bound vacuous at this resolution for some eps" if any(r.vacuous for r in rows) else ""
-    return BoundCheckReport(
-        rows=tuple(rows), delta_m=delta_m, conditional=True, all_ok=all(r.ok for r in rows), note=note
-    )
+    conditional = any(bound.conditional for bound in bounds)
+    return BoundCheckReport(rows=tuple(rows), delta_m=delta_ms.pop(), conditional=conditional, all_ok=all(r.ok for r in rows), note=note)
 
 
 @dataclass(frozen=True)

@@ -299,11 +299,9 @@ def run(
     take_due_snapshots(t, u, n_nodes)
     # |u|^p may overflow and inf - inf give NaN: reported below as a non-finite level
     with np.errstate(over="ignore", invalid="ignore"):
-        # level 1 from u = 0, u_t = eps g: u_tt(0) vanishes in the u and free
-        # forms, and the damped form's v_tt(0) = -mu eps g gives the factor
-        up = dt * params.eps * g_vals
-        if form is Form.V:
-            up *= 1.0 - params.mu * dt / 2.0
+        # level 1 from u = 0, u_t = eps g: u_tt(0) = -b_mu eps g, which gives
+        # the factor (1 - b_mu dt/2), exactly 1 outside the damped form
+        up = dt * params.eps * g_vals * (1.0 - kernel.b_mu * dt / 2.0)
         np.abs(up, au)
         for j in range(1, int(round(grid.t_max / dt)) + 1):
             nc = max(n_nodes - j, 1)  # causal_node_count(grid, j dt), without the float rounding

@@ -104,7 +104,7 @@ def test_criterion_3_recursion_closed_form_and_log_bound():
             delta=float(rng.uniform(0.2, 3.0)),
             delta_m=float(rng.uniform(0.3, 3.0)),
         )
-        consts = derive_K(cfg)
+        _, S_limit = derive_K(cfg)
         state = initial_state(cfg)
         for k in range(2, 31):
             state = iterate(state, cfg)
@@ -114,7 +114,7 @@ def test_criterion_3_recursion_closed_form_and_log_bound():
                 abs(state.a - a) / max(1.0, abs(a)),
                 abs(state.b - b) / max(1.0, abs(b)),
             )
-            rhs = p ** (k - 1) * (seed_constant(cfg) - consts.S_limit)
+            rhs = p ** (k - 1) * (seed_constant(cfg) - S_limit)
             assert state.logC >= rhs - 1e-9 * max(1.0, abs(rhs))
         checked += 1
     assert worst_ab < 1e-10
@@ -205,7 +205,7 @@ def test_criterion_8_upper_bound_consistency_undamped_case():
         form=Form.U,
     )
     bounds = tuple(lifespan_upper_bound(BoundConfig(params=dataclasses.replace(params, eps=e), delta_m=1.0)) for e in spec.eps_values)
-    rep = check_upper_bound(spec, sweep(spec), bounds, 1.0)
+    rep = check_upper_bound(spec, sweep(spec), bounds)
     assert rep.conditional is True  # explicitly conditional on delta_m
     assert rep.all_ok
     for row in rep.rows:

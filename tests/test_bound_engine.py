@@ -140,8 +140,8 @@ class TestDeriveK:
     def test_hand_value(self):
         # p=2, mu=2, m=1: minimand is constant in k, K = 1/72
         cfg = make_cfg(n=3, mu=2.0, p=2.0, kbar=0.5)
-        consts = derive_K(cfg)
-        assert consts.K == pytest.approx(1.0 / 72.0, rel=1e-13)
+        K, _ = derive_K(cfg)
+        assert K == pytest.approx(1.0 / 72.0, rel=1e-13)
 
     def test_nonpositive_growth_coefficient_rejected(self):
         # A = m + 1 - mu/2 + 2/(p-1) = 1 + 1 - 5 + 1 = -2 for n=3, mu=10, p=3
@@ -152,13 +152,13 @@ class TestDeriveK:
         rng = np.random.default_rng(5)
         for _ in range(30):
             cfg = random_valid_cfg(rng)
-            consts = derive_K(cfg)
+            K, _ = derive_K(cfg)
             p = cfg.params.p
             state = initial_state(cfg)
             for _ in range(40):
                 nxt = iterate(state, cfg)
                 lhs = nxt.logC
-                rhs = math.log(consts.K) + p * state.logC - 2.0 * state.k * math.log(p)
+                rhs = math.log(K) + p * state.logC - 2.0 * state.k * math.log(p)
                 assert lhs >= rhs - 1e-9 * max(1.0, abs(rhs))
                 state = nxt
 
@@ -169,7 +169,7 @@ class TestDeriveK:
         rng = np.random.default_rng(17)
         for _ in range(50):
             cfg = random_valid_cfg(rng)
-            consts = derive_K(cfg)
+            K, S_limit = derive_K(cfg)
             P = cfg.params
             p, m = P.p, P.m
             # minimand p^(2k) / (2^(p+1) (p a_k + 2)^2) from the recursion for
@@ -182,25 +182,25 @@ class TestDeriveK:
                 q /= p
             A = m + 1.0 - P.mu / 2.0 + 2.0 / (p - 1.0)
             K_ref = min(min(minimand), 1.0 / (2.0 ** (p + 1.0) * A * A))
-            assert consts.K == pytest.approx(K_ref, rel=1e-12)
-            S_ref = math.fsum((j * math.log(p * p) - math.log(consts.K)) * p ** (-j) for j in range(1, 20001))
-            assert consts.S_limit == pytest.approx(S_ref, rel=1e-12)
+            assert K == pytest.approx(K_ref, rel=1e-12)
+            S_ref = math.fsum((j * math.log(p * p) - math.log(K)) * p ** (-j) for j in range(1, 20001))
+            assert S_limit == pytest.approx(S_ref, rel=1e-12)
 
     def test_unrolled_log_bound(self):
         cfg = make_cfg(n=3, mu=2.0, p=2.0, kbar=0.5)
-        consts = derive_K(cfg)
+        _, S_limit = derive_K(cfg)
         state = initial_state(cfg)
         for k in range(1, 31):
             state = iterate(state, cfg)
-            rhs = cfg.params.p**k * (seed_constant(cfg) - consts.S_limit)
+            rhs = cfg.params.p**k * (seed_constant(cfg) - S_limit)
             assert state.logC >= rhs - 1e-9 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize("p", [1.1, 1.01, 1.001])
     def test_p_near_one_gives_finite_bound(self, p):
         cfg = make_cfg(n=3, mu=0.0, p=p, kbar=0.5)
-        consts = derive_K(cfg)
-        assert 0.0 < consts.K < math.inf
-        assert math.isfinite(consts.S_limit)
+        K, S_limit = derive_K(cfg)
+        assert 0.0 < K < math.inf
+        assert math.isfinite(S_limit)
         bound = lifespan_upper_bound(cfg)
         assert 0.0 < bound.C < math.inf
         assert 0.0 < bound.T_upper < math.inf
@@ -208,34 +208,28 @@ class TestDeriveK:
 
 class TestJ:
     def test_requires_t_above_one(self):
-        cfg = make_cfg()
-        consts = derive_K(cfg)
         with pytest.raises(ValueError):
-            J(0.5, 3.0, consts, cfg)
+            J(0.5, 3.0, make_cfg())
 
     def test_unit_slope_in_logC0(self):
         cfg1 = make_cfg(eps=1.0)
         cfg2 = make_cfg(eps=math.e)  # logC0 shifted by exactly 1
-        c1, c2 = derive_K(cfg1), derive_K(cfg2)
-        assert J(3.0, 10.0, c2, cfg2) - J(3.0, 10.0, c1, cfg1) == pytest.approx(1.0, abs=1e-12)
+        assert J(3.0, 10.0, cfg2) - J(3.0, 10.0, cfg1) == pytest.approx(1.0, abs=1e-12)
 
     def test_decreasing_in_r(self):
         cfg = make_cfg()
-        consts = derive_K(cfg)
-        vals = [J(3.0, r, consts, cfg) for r in np.linspace(9.5, 40.0, 20)]
+        vals = [J(3.0, r, cfg) for r in np.linspace(9.5, 40.0, 20)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_ray_sign_governed_by_exponent_denominator(self):
         # positive denominator: J eventually positive on the ray
         cfg = make_cfg(p=2.0, mu=2.0, kbar=0.5)
-        consts = derive_K(cfg)
         ray = lambda t: t + max(2.0 * t / cfg.delta_m, cfg.delta)
         # the sign flips only beyond the (large) certified threshold
-        assert J(1e12, ray(1e12), consts, cfg) > 0
+        assert J(1e12, ray(1e12), cfg) > 0
         # negative denominator: eventually negative
         cfg2 = make_cfg(p=2.0, mu=2.0, kbar=1.5)  # 2/(p-1)-mu/2 = 1 < kbar
-        consts2 = derive_K(cfg2)
-        assert J(1e12, ray(1e12), consts2, cfg2) < 0
+        assert J(1e12, ray(1e12), cfg2) < 0
 
 
 class TestLifespanUpperBound:
@@ -343,11 +337,10 @@ class TestLifespanUpperBound:
             if bound.T_upper == 1.0:
                 continue
             cfg = dataclasses.replace(cfg, delta=2.0 * bound.T_upper / cfg.delta_m)
-            consts = derive_K(cfg)
             T = bound.T_upper
-            assert J(T, T * (1.0 + 2.0 / cfg.delta_m), consts, cfg) == pytest.approx(0.0, abs=1e-12 * max(1.0, math.log(T)))
+            assert J(T, T * (1.0 + 2.0 / cfg.delta_m), cfg) == pytest.approx(0.0, abs=1e-12 * max(1.0, math.log(T)))
             ray = lambda t: t + max(2.0 * t / cfg.delta_m, cfg.delta)
-            f = lambda t: J(t, ray(t), consts, cfg)
+            f = lambda t: J(t, ray(t), cfg)
             lo, hi = 1.0 + 1e-9, 4.0 * T
             assert f(lo) <= 0 < f(hi)
             for _ in range(200):
@@ -376,14 +369,14 @@ class TestLifespanUpperBound:
             assert bound.T_upper >= 1.0
             if bound.T_upper == 1.0:
                 continue
-            T, consts, a = bound.T_upper, derive_K(cfg), bound.exponent
+            T, a = bound.T_upper, bound.exponent
             ray = 1.0 + 2.0 / cfg.delta_m
             at_fixed_point = dataclasses.replace(cfg, delta=2.0 * T / cfg.delta_m)
             assert (bound.delta, bound.C0) == (at_fixed_point.delta, math.exp(seed_constant(at_fixed_point)))
-            assert abs(J(T, T * ray, consts, at_fixed_point)) <= 1e-12 * max(1.0, abs(math.log(T)))
+            assert abs(J(T, T * ray, at_fixed_point)) <= 1e-12 * max(1.0, abs(math.log(T)))
             for delta in (0.25, 1.0, 4.0, 10.0):
                 cfg_d = dataclasses.replace(cfg, delta=delta)
-                log_T_d = 1.0 - a * J(math.e, math.e * ray, consts, cfg_d)
+                log_T_d = 1.0 - a * J(math.e, math.e * ray, cfg_d)
                 if log_T_d < math.log(sys.float_info.max) and 2.0 * math.exp(log_T_d) / cfg.delta_m >= delta:
                     assert T <= math.exp(log_T_d) * (1.0 + 1e-12)
                     compared += 1
@@ -413,7 +406,7 @@ class TestLifespanUpperBound:
                 continue
             P = cfg.params
             with mpmath.workdps(50):
-                p, mu, kbar, m, dm, S = (mp.mpf(v) for v in (P.p, P.mu, P.kbar, P.m, cfg.delta_m, bound.constants.S_limit))
+                p, mu, kbar, m, dm, S = (mp.mpf(v) for v in (P.p, P.mu, P.kbar, P.m, cfg.delta_m, bound.S_limit))
                 A = m + 1 - mu / 2 + 2 / (p - 1)
 
                 def g(x):
@@ -567,10 +560,9 @@ class TestBlowUpDivergence:
         # big eps makes J > 0 at a moderate ray point; the log-envelope
         # then grows without bound along the iteration
         cfg = make_cfg(p=2.0, mu=2.0, kbar=0.5, eps=1e6)
-        consts = derive_K(cfg)
         t = 10.0
         r = t + max(2.0 * t / cfg.delta_m, cfg.delta)
-        assert J(t, r, consts, cfg) > 0
+        assert J(t, r, cfg) > 0
         m = cfg.params.m
         state = initial_state(cfg)
         envelope = []
@@ -584,9 +576,8 @@ class TestBlowUpDivergence:
 
     def test_envelope_collapses_where_J_negative(self):
         cfg = make_cfg(p=2.0, mu=2.0, kbar=0.5, eps=1e-6)
-        consts = derive_K(cfg)
         t, r = 2.0, 2.0 + max(2.0 * 2.0 / cfg.delta_m, cfg.delta)
-        assert J(t, r, consts, cfg) < 0
+        assert J(t, r, cfg) < 0
         m = cfg.params.m
         state = initial_state(cfg)
         for _ in range(60):
@@ -601,3 +592,19 @@ class TestBoundConfig:
             BoundConfig(params=ModelParams(n=3, mu=0.0, nu=0.0, p=2.0, kbar=0.0), delta=0.0)
         with pytest.raises(ValueError):
             BoundConfig(params=ModelParams(n=3, mu=0.0, nu=0.0, p=2.0, kbar=0.0), delta_m=-1.0)
+
+
+# each call reaches one check that no other test fires, and without that
+# check it raises something else or nothing
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: iterate(IterationState(k=0, a=2.0, b=1.5, logC=0.0), make_cfg()), "iteration index must be >= 1, got 0"),
+        (lambda: closed_form(0, make_cfg()), "closed_form requires k >= 1, got 0"),
+        (lambda: J(2.0, 0.0, make_cfg()), "J requires r > 0, got 0.0"),
+        (lambda: J(2.0, -1.0, make_cfg()), "J requires r > 0, got -1.0"),
+    ],
+)
+def test_each_check_names_its_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from blowuplab import experiments, exponents, solver
-from blowuplab.bound_engine import BoundConfig, derive_K, lifespan_upper_bound
+from blowuplab.bound_engine import BoundConfig, LifespanBound, derive_K, lifespan_upper_bound
 from blowuplab.cli import _build_parser, _merge, main
 from blowuplab.experiments import SweepSpec
 from blowuplab.exponents import ModelParams
@@ -82,6 +83,7 @@ class TestBound:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"C0", "K", "S_limit", "C", "exponent", "T_upper", "delta", "delta_m", "conditional"}
+        assert set(payload) == {field.name for field in dataclasses.fields(LifespanBound)}
         assert payload["conditional"] is True
         assert payload["exponent"] == pytest.approx(2.0)
 
@@ -102,10 +104,8 @@ class TestBound:
         payload = json.loads(out)
         cfg = BoundConfig(params=ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5), delta_m=1.0)
         bound = lifespan_upper_bound(cfg)
-        assert bound.constants == derive_K(cfg)
-        consts = bound.constants
-        assert (payload["K"], payload["S_limit"], payload["C0"], payload["delta"]) == (consts.K, consts.S_limit, bound.C0, bound.delta)
-        assert (payload["C"], payload["T_upper"]) == (bound.C, bound.T_upper)
+        assert (bound.K, bound.S_limit) == derive_K(cfg)
+        assert payload == dataclasses.asdict(bound)
 
     def test_precondition_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -818,3 +818,36 @@ class TestImportCost:
         assert len(result["values"]) == 3
         assert all(math.isfinite(v) and v > 0 for v in result["values"])
         assert (tmp_path / "atlas" / "atlas.csv").exists()
+
+
+def _unexpected(*args, **kwargs):
+    raise RuntimeError("unexpected state")
+
+
+SWEEP = ["sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "2", "--r-max", "20", "--t-max", "4"]
+
+
+# each case reaches one check that no other test fires, and without that
+# check it ends with another message or none
+@pytest.mark.parametrize(
+    "argv, config, broken, code, message",
+    [
+        (SWEEP + ["--eps-values", "1,x"], None, None, 2, "argument --eps-values: expected comma-separated floats, got '1,x'"),
+        # off parses as false: the sweep gets as far as its eps grid
+        (SWEEP, "check_bound = off\neps_values = 1,2\n", None, 2, "error: need at least 4 eps values, got 2"),
+        (SWEEP, "eps_values\n", None, 2, ":1: expected key=value, got 'eps_values'"),
+        (["classify", "--n", "3", "--mu", "2", "--kbar", "1", "--p", "1.6"], None, "classify", 4, "internal error: RuntimeError: unexpected state"),
+    ],
+)
+def test_each_check_names_its_reason(capsys, monkeypatch, tmp_path, argv, config, broken, code, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    if broken is not None:
+        monkeypatch.setattr(exponents, broken, _unexpected)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+    assert not (tmp_path / "out").exists()

@@ -3,9 +3,11 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -329,6 +331,26 @@ class TestLanes:
             sweep(fast_spec(), jobs=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("failing, delay", [("caller", 0.5), ("worker", 0.25)])
+    def test_a_failing_lane_ends_the_sweep(self, monkeypatch, failing, delay):
+        # one lane fails on its second solve, and each solve of the other
+        # takes `delay` s: the sweep must not wait for the chains still queued
+        caller, real_run, solves = os.getpid(), experiments.run, []
+
+        def failing_run(*args, **kwargs):
+            solves.append(None)  # a worker counts in its own copy of the list
+            if (os.getpid() == caller) == (failing == "caller"):
+                if len(solves) == 2:
+                    raise MemoryError("no room for the level")
+            else:
+                time.sleep(delay)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", failing_run)
+        with deadline(1.0), pytest.raises(MemoryError, match="no room for the level"):
+            sweep(fast_spec(), jobs=2)
+        assert multiprocessing.active_children() == []
+
 
 class TestCheckUpperBound:
     def test_all_below_bound_mu0(self):
@@ -339,7 +361,7 @@ class TestCheckUpperBound:
             grid=GridSpec(dr=0.1, r_max=20.0, t_max=8.0, cfl=0.7),
         )
         bounds = bounds_for(spec)
-        report = check_upper_bound(spec, sweep(spec, jobs=1), bounds, 1.0)
+        report = check_upper_bound(spec, sweep(spec, jobs=1), bounds)
         assert report.conditional is True
         assert report.delta_m == 1.0
         assert report.all_ok
@@ -370,10 +392,28 @@ class TestCheckUpperBound:
             alpha_theory=2.0 / 3.0,
             survived_eps=(),
         )
-        report = check_upper_bound(spec, fake, bounds_for(spec), 1.0)
+        report = check_upper_bound(spec, fake, bounds_for(spec))
         assert [row.vacuous for row in report.rows] == [False, False, False, True]
         assert report.rows[-1].T_upper == 1.0
         assert "vacuous" in report.note
+
+    def test_delta_m_comes_from_the_bounds(self):
+        spec = fast_spec()
+        fake = SweepResult(
+            points=tuple(SweepPoint(eps, 1.0, None) for eps in FAST_EPS),
+            slope=-1.0, intercept=0.0, r_squared=1.0, alpha_theory=1.0, survived_eps=(),
+        )
+
+        def bounds_at(delta_m):
+            return [lifespan_upper_bound(BoundConfig(dataclasses.replace(FAST_PARAMS, eps=e), delta_m=delta_m)) for e in FAST_EPS]
+
+        at_2 = bounds_at(2.0)
+        report = check_upper_bound(spec, fake, tuple(at_2))
+        assert (report.delta_m, report.conditional) == (2.0, True)
+        assert [row.T_upper for row in report.rows] == [bound.T_upper for bound in at_2]
+        mixed = tuple(at_2[:2] + bounds_at(1.0)[2:])
+        with pytest.raises(ValueError, match=re.escape("the bounds must share one delta_m, got [1.0, 2.0]")):
+            check_upper_bound(spec, fake, mixed)
 
 
 class TestConvergenceStudy:
@@ -412,3 +452,17 @@ class TestConvergenceStudy:
         assert rep.passed
         assert all(T is not None for T in rep.T_nums)
         assert rep.T_agreement is not None and rep.T_agreement < 0.05
+
+
+# each call reaches one check that no other test fires, and without that
+# check it raises something else or nothing
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SweepSpec(params_base=FAST_PARAMS, eps_values=FAST_EPS, grid=FAST_GRID, refinement_levels=0), "refinement_levels must be >= 1"),
+        (lambda: convergence_study(FAST_PARAMS, FAST_GRID, levels=3, compare_time=2.0 * FAST_GRID.t_max), "compare_time exceeds t_max"),
+    ],
+)
+def test_each_check_names_its_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

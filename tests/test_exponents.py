@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from blowuplab.exponents import (
     HypothesisError,
     ModelParams,
+    RegionVerdict,
     UncoveredCaseError,
     Verdict,
     admissible_range,
@@ -438,3 +440,24 @@ class TestAtlas:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "kbar,p,verdict,alpha"
         assert len(lines) == 1 + 5 * 7
+
+
+# each call reaches one check that no other test fires, and without that
+# check it raises something else or nothing
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModelParams(n=3, mu=math.nan, nu=0.0, p=2.0, kbar=0.5), "mu must be finite, got nan"),
+        (lambda: RegionVerdict(Verdict.BLOW_UP, None, ()), "lifespan_exponent present iff verdict is blow-up"),
+        (lambda: RegionVerdict(Verdict.UNKNOWN, 1.0, ()), "lifespan_exponent present iff verdict is blow-up"),
+        (lambda: RegionVerdict(Verdict.BLOW_UP, -1.0, ()), "lifespan_exponent must be positive"),
+        (lambda: kbar_zero(1, 2.0), "kbar_zero requires n >= 2, got 1"),
+        (lambda: mu_max(1), "mu_max requires n >= 2, got 1"),
+        (lambda: admissible_range(1, 2.0, 2.0), "admissible_range requires n >= 2, got 1"),
+        (lambda: admissible_range(3, 1.0, 2.0), "admissible_range requires p > 1, got 1.0"),
+        (lambda: atlas(3, 2.0, 0.0, [0.0, math.inf], [2.0]), "k_grid: grid values must be finite"),
+    ],
+)
+def test_each_check_names_its_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
