@@ -291,7 +291,7 @@ def _cmd_sweep(cfg: dict) -> int:
     bounds = None
     if cfg["check_bound"]:  # before any solve: a bound beyond the float range exits 2 with nothing run or written
         configs = [bound_engine.BoundConfig(dataclasses.replace(spec.params_base, eps=eps), delta_m=cfg["delta_m"]) for eps in spec.eps_values]
-        bounds = tuple(bound_engine.lifespan_upper_bound(bc) for bc in configs)
+        bounds = {eps: bound_engine.lifespan_upper_bound(bc) for eps, bc in zip(spec.eps_values, configs)}
     result = experiments.sweep(spec, jobs=cfg["jobs"])
 
     with open(cfg["out"] / "sweep.csv", "w", encoding="utf-8", newline="") as fh:

@@ -3,10 +3,10 @@
 An eps-sweep runs the solver across a geometric grid of data sizes,
 detects the blow-up time for each, and fits log T_num against log eps by
 unweighted least squares; the fitted slope is compared with the
-theoretical lifespan exponent (slope ~ -alpha).  Each eps's chain of
-solves (`sweep`) is one task, taken longest first by the calling process
-and forked workers; no lane changes a chain's T_num, and a failure in any
-lane ends the sweep.  The bound check reports the delta_m of its bounds.
+theoretical lifespan exponent (slope ~ -alpha).  In `sweep`, this
+process and forked workers, which answer over pipes, take the eps chains
+longest first; no lane changes a T_num, and a failure in any ends the
+sweep.  The bound check matches bounds to points by eps.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,55 +135,60 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     unless a lower peak inside still tops the values at the edge.
 
     `jobs` lanes run the chains, longest (smallest eps) first: this process
-    and jobs - 1 forked workers, each fed by a relay thread that only waits
-    (None: a lane per usable CPU; 1 or less: no worker, no thread); a failure
-    in any lane ends the sweep.  Lanes are not threads: a leapfrog step makes
-    about 11 numpy calls, and threads hand the interpreter lock back and forth
-    around each one.
+    and jobs - 1 workers forked before its lane starts (None: a lane per
+    usable CPU; 1 or less: no worker), and no thread.  Each worker answers
+    over its own pipe, where its exit without an answer shows at once; a
+    failure in any lane ends the sweep.  Lanes are not threads: a leapfrog step makes about 11
+    numpy calls, and threads hand the interpreter lock back and forth around
+    each one.
     """
     base = spec.params_base
     alpha = lifespan_exponent(base)  # raises HypothesisError outside the blow-up range
 
-    # longest first (ascending eps) so no lane idles at the end
-    todo = queue.SimpleQueue()
-    for i, eps in enumerate(spec.eps_values):
-        todo.put((i, (spec.form, dataclasses.replace(base, eps=eps), spec.grid, spec.refinement_levels)))
+    tasks = [(spec.form, dataclasses.replace(base, eps=eps), spec.grid, spec.refinement_levels) for eps in spec.eps_values]
     if jobs is None:  # the usable CPUs; some platforms lack os.sched_getaffinity
         jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    forks = max(0, min(jobs, len(spec.eps_values)) - 1)  # this process is a lane too
-    for _ in range(forks + 1):
-        todo.put(None)  # one end mark per lane, after every task
+    import multiprocessing  # loaded by a sweep, not with the package
+    # named: the workers inherit `lane`, `tasks` and the count; the sweep starts no thread for a fork to copy
+    fork = multiprocessing.get_context("fork")
+    taken = fork.Value("q", 0)  # takes by all lanes; one past the last chain gets None
 
-    def lane(solve) -> list:
+    def take() -> int | None:  # the next chain, longest (smallest eps) first so no lane idles at the end
+        with taken.get_lock():
+            i, taken.value = taken.value, taken.value + 1
+        return i if i < len(tasks) else None
+
+    def lane() -> list:
+        return [(i, _sweep_chain(tasks[i])) for i in iter(take, None)]
+
+    def answer(pipe) -> None:  # a worker's lane: it sends its chains' T_num, or in their place its failure, an interrupt too
         try:
-            return [(i, solve(task)) for i, task in iter(todo.get, None)]
-        except BaseException:
-            list(iter(todo.get, None))  # leave no chain to the other lanes: take every task up to an end mark
-            raise
+            pipe.send(lane())
+        except BaseException as exc:
+            list(iter(take, None))  # leave no chain to the other lanes: take every one left
+            pipe.send(exc)
 
-    if not forks:
-        results = dict(lane(_sweep_chain))
-    else:
-        import multiprocessing  # loaded only by a sweep that forks
-        from concurrent.futures import ThreadPoolExecutor
-        before = multiprocessing.active_children()
-        # no relay thread exists before the first submit, so the pool forks first; on exit it ends
-        # its workers before the relays are joined
-        with ThreadPoolExecutor(forks) as relays, multiprocessing.Pool(forks) as pool:
-            workers = [w for w in multiprocessing.active_children() if w not in before]
-
-            def relay(task):  # a worker that died never replies: stop waiting then
-                reply = pool.apply_async(_sweep_chain, (task,))
-                while not reply.ready():
-                    if not all(w.is_alive() for w in workers):
-                        raise RuntimeError("a sweep worker process died")
-                    reply.wait(0.1)
-                return reply.get()
-
-            relayed = [relays.submit(lane, relay) for _ in range(forks)]
-            results = dict(lane(_sweep_chain))
-            for future in relayed:
-                results.update(future.result())
+    forked = []  # (worker, read end of its pipe)
+    try:
+        for _ in range(min(jobs, len(tasks)) - 1):  # this process is a lane too
+            read, write = fork.Pipe(duplex=False)
+            worker = fork.Process(target=answer, args=(write,))
+            worker.start()
+            forked.append((worker, read))
+            write.close()  # the worker holds the only write end: its exit without a reply is an EOFError here
+        results = dict(lane())  # this lane's failure is raised before any pipe is read, and ends the workers
+        for _, read in forked:
+            try:
+                reply = read.recv()
+            except EOFError:
+                raise RuntimeError("a sweep worker process died") from None
+            if isinstance(reply, BaseException):
+                raise reply
+            results.update(reply)
+    finally:
+        for worker, _ in forked:
+            worker.terminate()
+            worker.join()
 
     points = []
     for i, eps in enumerate(spec.eps_values):
@@ -229,23 +233,27 @@ class BoundCheckReport:
     note: str = ""
 
 
-def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bounds: tuple[LifespanBound, ...]) -> BoundCheckReport:
+def check_upper_bound(spec: SweepSpec, sweep_result: SweepResult, bounds: dict[float, LifespanBound]) -> BoundCheckReport:
     """Assert T_num <= T_upper for every eps of `sweep_result`, the result
     of `sweep(spec)`, with T_upper from `bounds`: the lifespan bound at
-    spec's parameters for each eps, in eps order, all under one delta_m
-    (ValueError otherwise), which the report carries.  A bound below the
-    first time step is flagged vacuous (unresolvable at this resolution)
-    but still compared.
+    spec's parameters keyed by its eps, for exactly the sweep's eps values,
+    all under one delta_m (ValueError otherwise), which the report carries.
+    A bound below the first time step is flagged vacuous (unresolvable at
+    this resolution) but still compared.
     """
-    delta_ms = {bound.delta_m for bound in bounds}
+    unmatched = sorted(set(bounds).symmetric_difference(pt.eps for pt in sweep_result.points))
+    if unmatched:
+        raise ValueError(f"the bounds must be keyed by the sweep's eps values, but eps {unmatched} is in only one of them")
+    delta_ms = {bound.delta_m for bound in bounds.values()}
     if len(delta_ms) != 1:
         raise ValueError(f"the bounds must share one delta_m, got {sorted(delta_ms)}")
     rows = []
-    for pt, T_upper in zip(sweep_result.points, (bound.T_upper for bound in bounds), strict=True):
+    for pt in sweep_result.points:
+        T_upper = bounds[pt.eps].T_upper
         ok = pt.T_num is not None and pt.T_num <= T_upper
         rows.append(BoundCheckRow(eps=pt.eps, T_num=pt.T_num, T_upper=T_upper, ok=ok, vacuous=T_upper < spec.grid.dt))
     note = "bound vacuous at this resolution for some eps" if any(r.vacuous for r in rows) else ""
-    conditional = any(bound.conditional for bound in bounds)
+    conditional = any(bound.conditional for bound in bounds.values())
     return BoundCheckReport(rows=tuple(rows), delta_m=delta_ms.pop(), conditional=conditional, all_ok=all(r.ok for r in rows), note=note)
 
 

@@ -204,7 +204,7 @@ def test_criterion_8_upper_bound_consistency_undamped_case():
         refinement_levels=1,
         form=Form.U,
     )
-    bounds = tuple(lifespan_upper_bound(BoundConfig(params=dataclasses.replace(params, eps=e), delta_m=1.0)) for e in spec.eps_values)
+    bounds = {e: lifespan_upper_bound(BoundConfig(params=dataclasses.replace(params, eps=e), delta_m=1.0)) for e in spec.eps_values}
     rep = check_upper_bound(spec, sweep(spec), bounds)
     assert rep.conditional is True  # explicitly conditional on delta_m
     assert rep.all_ok

@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -738,7 +740,7 @@ class TestCommittedConfigs:
 
 class TestJobs:
     def test_jobs_below_two_run_serially(self, capsys, tmp_path):
-        # no pool: --jobs 0 and --jobs 1 take the same serial path
+        # no worker: --jobs 0 and --jobs 1 run every chain in this process
         args = (
             "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
             "--eps-values", "5,7.5,11.25,16.875", "--dr", "0.1", "--r-max", "20",
@@ -751,6 +753,29 @@ class TestJobs:
             outs.append(out)
         assert outs[0] == outs[1]
         assert (tmp_path / "0" / "sweep.csv").read_bytes() == (tmp_path / "1" / "sweep.csv").read_bytes()
+
+    def test_a_ctrl_c_at_two_jobs_prints_only_interrupted_and_leaves_nothing(self, tmp_path):
+        # SIGINT to the whole process group, as a terminal sends it, one
+        # second into the criterion-7 sweep; three levels keep it running
+        # well past that second
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        args = ["sweep", "--config", str(CONFIGS / "lifespan_sweep_c7.cfg"), "--refinement-levels", "3", "--jobs", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blowuplab.cli", *args, "--out", str(tmp_path / "out")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            time.sleep(1.0)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+            left = subprocess.run(["pgrep", "-g", str(proc.pid)], capture_output=True, text=True).stdout
+        finally:
+            subprocess.run(["pkill", "-KILL", "-g", str(proc.pid)])
+            proc.wait()
+        assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+        assert not (tmp_path / "out").exists()
+        assert left == ""
 
 
 class TestHelp:
@@ -770,7 +795,7 @@ class TestHelp:
 
 class TestImportCost:
     def test_loading_the_package_loads_no_pool(self):
-        # the sweep imports its pool machinery only when it forks
+        # a sweep imports multiprocessing when it runs, not before
         script = "import sys, blowuplab.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -1,11 +1,11 @@
 import contextlib
 import dataclasses
+import errno
 import math
 import multiprocessing
 import os
 import re
 import signal
-import sys
 import threading
 import time
 
@@ -40,9 +40,11 @@ def fast_spec(levels=1):
     )
 
 
-def bounds_for(spec):
-    """The lifespan bound at spec's parameters for each eps (delta_m = 1)."""
-    return tuple(lifespan_upper_bound(BoundConfig(params=dataclasses.replace(spec.params_base, eps=e))) for e in spec.eps_values)
+def bounds_for(spec, eps_values=None):
+    """The lifespan bound at spec's parameters keyed by each eps of
+    `eps_values`, by default spec's (delta_m = 1)."""
+    eps_values = spec.eps_values if eps_values is None else eps_values
+    return {e: lifespan_upper_bound(BoundConfig(params=dataclasses.replace(spec.params_base, eps=e))) for e in eps_values}
 
 
 class TestFitPowerLaw:
@@ -230,6 +232,31 @@ def note_run_pids(monkeypatch, log_dir):
 
 
 @contextlib.contextmanager
+def meet_a_worker(monkeypatch, worker_dies=False):
+    """Patch experiments.run so that this process's first solve waits until
+    a forked worker starts one, and dies there if `worker_dies`: a worker
+    then takes a chain however late it is scheduled."""
+    caller, real_run, waited = os.getpid(), experiments.run, []
+    read_end, write_end = os.pipe()
+
+    def meeting_run(*args, **kwargs):
+        if os.getpid() != caller:
+            os.write(write_end, b".")
+            if worker_dies:
+                os._exit(1)
+        elif not waited:
+            waited.append(os.read(read_end, 1))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", meeting_run)
+    try:
+        yield
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@contextlib.contextmanager
 def deadline(seconds):
     def expire(signum, frame):
         raise TimeoutError(f"sweep ran for more than {seconds} s")
@@ -246,7 +273,7 @@ def deadline(seconds):
 class TestLanes:
     def test_the_calling_process_is_one_of_two_lanes(self, monkeypatch, tmp_path):
         note_run_pids(monkeypatch, tmp_path)
-        with deadline(60.0):
+        with meet_a_worker(monkeypatch), deadline(60.0):
             sweep(fast_spec(), jobs=2)
         runs = {int(path.name): len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()}
         assert len(runs) == 2
@@ -256,18 +283,13 @@ class TestLanes:
         assert all(count % 2 == 0 for count in runs.values())
 
     def test_every_task_runs_once_under_contention(self, monkeypatch, tmp_path):
-        # more lanes than cores, and a thread switch every microsecond, on
-        # the one queue all lanes take from
+        # more lanes than cores, six processes that contend for the lock
+        # of the one count they all take chains from
         spec = SweepSpec(params_base=FAST_PARAMS, eps_values=tuple(5.0 * 1.1**k for k in range(12)), grid=FAST_GRID, refinement_levels=2)
         expected = sweep(spec, jobs=1)
         note_run_pids(monkeypatch, tmp_path)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with deadline(60.0):
-                result = sweep(spec, jobs=6)
-        finally:
-            sys.setswitchinterval(interval)
+        with deadline(60.0):
+            result = sweep(spec, jobs=6)
         assert result == expected
         # 12 chains of a pilot and two levels, none of which falls back
         assert sum(len(path.read_text(encoding="utf-8").splitlines()) for path in tmp_path.iterdir()) == 36
@@ -276,8 +298,9 @@ class TestLanes:
         "jobs, forks", [(-1, 0), (0, 0), (1, 0), (2, 1), (3, 2), (16, len(FAST_EPS) - 1), (None, min(USABLE_CPUS, len(FAST_EPS)) - 1)]
     )
     def test_forks_one_worker_per_lane_but_one_before_any_thread(self, monkeypatch, jobs, forks):
-        # threads alive at each fork, and during each run in this process;
-        # a lane per eps chain at most, whatever the number of levels
+        # threads alive at each fork, and during each run in this process,
+        # whatever the number of workers; a lane per eps chain at most,
+        # whatever the number of levels
         threads = threading.active_count()
         at_fork, at_run = [], []
         real_fork, real_run = os.fork, experiments.run
@@ -295,8 +318,9 @@ class TestLanes:
         with deadline(60.0):
             sweep(fast_spec(levels=2), jobs=jobs)
         assert at_fork == [threads] * forks
+        assert all(count == threads for count in at_run)
         if not forks:
-            assert at_run == [threads] * 3 * len(FAST_EPS)
+            assert len(at_run) == 3 * len(FAST_EPS)
         assert multiprocessing.active_children() == []
 
     def test_the_default_is_a_lane_per_usable_cpu(self, monkeypatch):
@@ -315,20 +339,23 @@ class TestLanes:
             sweep(spec, jobs=2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
     def test_a_dead_worker_raises_instead_of_hanging(self, monkeypatch):
-        # the pool replaces a worker that died, from one of its threads, but
-        # never answers the task the dead worker held
-        caller, real_run = os.getpid(), experiments.run
-
-        def dying_run(*args, **kwargs):
-            if os.getpid() != caller:
-                os._exit(1)
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "run", dying_run)
-        with deadline(10.0), pytest.raises(RuntimeError, match="worker"):
+        with meet_a_worker(monkeypatch, worker_dies=True), deadline(1.0), pytest.raises(RuntimeError, match="a sweep worker process died"):
             sweep(fast_spec(), jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_fork_that_fails_raises_and_leaves_no_worker(self, monkeypatch):
+        forks, real_fork = [], os.fork
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with deadline(1.0), pytest.raises(BlockingIOError):
+            sweep(fast_spec(), jobs=3)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failing, delay", [("caller", 0.5), ("worker", 0.25)])
@@ -365,9 +392,9 @@ class TestCheckUpperBound:
         assert report.conditional is True
         assert report.delta_m == 1.0
         assert report.all_ok
-        for row, bound in zip(report.rows, bounds):
+        for row in report.rows:
             assert row.T_num <= row.T_upper
-            assert row.T_upper == bound.T_upper  # each row is its eps's bound, bitwise
+            assert row.T_upper == bounds[row.eps].T_upper  # each row is its eps's bound, bitwise
 
     def test_vacuous_bound_flagged(self):
         # fabricated sweep output: a bound below the first time step is
@@ -404,16 +431,29 @@ class TestCheckUpperBound:
             slope=-1.0, intercept=0.0, r_squared=1.0, alpha_theory=1.0, survived_eps=(),
         )
 
-        def bounds_at(delta_m):
-            return [lifespan_upper_bound(BoundConfig(dataclasses.replace(FAST_PARAMS, eps=e), delta_m=delta_m)) for e in FAST_EPS]
+        def bounds_at(delta_m, eps_values):
+            return {e: lifespan_upper_bound(BoundConfig(dataclasses.replace(FAST_PARAMS, eps=e), delta_m=delta_m)) for e in eps_values}
 
-        at_2 = bounds_at(2.0)
-        report = check_upper_bound(spec, fake, tuple(at_2))
+        at_2 = bounds_at(2.0, FAST_EPS)
+        report = check_upper_bound(spec, fake, at_2)
         assert (report.delta_m, report.conditional) == (2.0, True)
-        assert [row.T_upper for row in report.rows] == [bound.T_upper for bound in at_2]
-        mixed = tuple(at_2[:2] + bounds_at(1.0)[2:])
+        assert [row.T_upper for row in report.rows] == [at_2[eps].T_upper for eps in FAST_EPS]
+        mixed = {**bounds_at(2.0, FAST_EPS[:2]), **bounds_at(1.0, FAST_EPS[2:])}
         with pytest.raises(ValueError, match=re.escape("the bounds must share one delta_m, got [1.0, 2.0]")):
             check_upper_bound(spec, fake, mixed)
+
+    def test_bounds_are_matched_to_points_by_eps(self):
+        spec = fast_spec()
+        fake = SweepResult(
+            points=tuple(SweepPoint(eps, 1.0, None) for eps in FAST_EPS),
+            slope=-1.0, intercept=0.0, r_squared=1.0, alpha_theory=1.0, survived_eps=(),
+        )
+        report = check_upper_bound(spec, fake, bounds_for(spec))
+        assert check_upper_bound(spec, fake, bounds_for(spec, FAST_EPS[::-1])) == report
+        assert [row.T_upper for row in report.rows] == sorted((row.T_upper for row in report.rows), reverse=True)
+        for eps_values, odd in [(FAST_EPS[:-1], FAST_EPS[-1]), ((*FAST_EPS, 20.0), 20.0)]:
+            with pytest.raises(ValueError, match=re.escape(f"eps [{odd}] is in only one of them")):
+                check_upper_bound(spec, fake, bounds_for(spec, eps_values))
 
 
 class TestConvergenceStudy:
