@@ -22,15 +22,19 @@ from .exponents import AtlasResult, Verdict, _existence_power, _open_text, _shif
 __all__ = ["exact_boundary_labels", "boundary_annotation", "write_atlas_svg"]
 
 
-def _squarefree(D: int) -> tuple[int, int]:
-    """D = s^2 q with q squarefree; returns (s, q)."""
-    s, q, f = 1, D, 2
-    while f * f <= q:
-        while q % (f * f) == 0:
-            q //= f * f
-            s *= f
+def _squarefree(D: int) -> tuple[int, int] | None:
+    """(s, q) with D = s^2 q and q squarefree, or None if that needs a trial divisor above 10^5."""
+    s, rest, f = 1, D, 2  # rest: D without its prime factors below f
+    while f * f <= rest:
+        if f > 10**5:
+            return None
+        while rest % f == 0:
+            rest //= f
+            if rest % f == 0:
+                rest //= f
+                s *= f
         f += 1
-    return s, q
+    return s, D // (s * s)
 
 
 def _format_surd(x: Fraction, y: Fraction, q: int) -> str:
@@ -49,8 +53,8 @@ def _format_surd(x: Fraction, y: Fraction, q: int) -> str:
 
 
 def exact_boundary_labels(n: int, mu: float) -> tuple[str | None, str | None]:
-    """Exact-form strings (kbar0, p_S(n+mu)) when n + mu is an integer,
-    else (None, None).
+    """Exact-form strings (kbar0, p_S(n+mu)) when n + mu is an integer and
+    the squarefree part of D below is found, else (None, None).
 
     p_S(d) = ((d+1) + sqrt(D)) / (2(d-1)) with D = (d+1)^2 + 8(d-1) =
     s^2 q, q squarefree, is x + y sqrt(q) with rational x and y (y = 0 when
@@ -61,9 +65,9 @@ def exact_boundary_labels(n: int, mu: float) -> tuple[str | None, str | None]:
     if not float(mu).is_integer():
         return None, None
     d = n + int(mu)
-    if d <= 1:
+    if d <= 1 or (split := _squarefree((d + 1) ** 2 + 8 * (d - 1))) is None:
         return None, None
-    s, q = _squarefree((d + 1) ** 2 + 8 * (d - 1))
+    s, q = split
     x, y = Fraction(d + 1, 2 * (d - 1)), Fraction(s, 2 * (d - 1))
     if q == 1:
         x, y = x + y, Fraction(0)

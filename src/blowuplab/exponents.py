@@ -19,8 +19,9 @@ critical powers organize the (kbar, p) plane:
 
 The two curves p = p_F(kbar + mu/2) and p = (2 kbar + mu + 2)/(n + mu - 1)
 meet at (kbar0, p_S(n + mu)); `kbar_zero` computes that abscissa.
-`classify` turns one parameter point into a verdict, `atlas` samples a
-whole rectangle.
+`_conditions` tests every condition of both routes: `classify` turns its
+result into one point's verdict, `lifespan_exponent` raises for its first
+failed blow-up hypothesis, and `atlas` samples a whole rectangle.
 """
 
 from __future__ import annotations
@@ -162,6 +163,14 @@ def fujita(h: float) -> float:
     return 1.0 + 2.0 / h
 
 
+def _strauss_radicand(d: float) -> float:
+    """D = (d+1)^2 + 8(d-1) of p_S(d); a ValueError names it beyond the float range."""
+    try:
+        return (d + 1.0) ** 2 + 8.0 * (d - 1.0)
+    except OverflowError:
+        raise ValueError(f"the radicand D = (d+1)^2 + 8(d-1) of p_S(d) is beyond the float range at d = {d}") from None
+
+
 def strauss(d: float) -> float:
     """Wave-type critical power p_S(d): positive root of (d-1)p^2 - (d+1)p - 2.
 
@@ -169,21 +178,24 @@ def strauss(d: float) -> float:
     """
     if not d > 1:
         raise ValueError(f"strauss requires d > 1, got {d}")
-    return ((d + 1.0) + math.sqrt((d + 1.0) ** 2 + 8.0 * (d - 1.0))) / (2.0 * (d - 1.0))
+    return ((d + 1.0) + math.sqrt(_strauss_radicand(d))) / (2.0 * (d - 1.0))
 
 
 def kbar_zero(n: int, mu: float) -> float:
     """Decay threshold kbar0 solving p_F(kbar0 + mu/2) = p_S(n + mu).
 
-    Algebraically kbar0 = 2/(p_S(n+mu) - 1) - mu/2.  For kbar below this
-    value there is a band of powers between the two critical curves where
-    the blow-up result applies but the global-existence results do not.
+    Algebraically kbar0 = 2/(p_S(d) - 1) - mu/2 with d = n + mu, computed
+    as ((10d - 7)/(sqrt(D) + d) + 2n - 3)/4 (D the radicand of p_S), which
+    does not cancel as d grows.  For kbar below kbar0 there is a band of
+    powers between the two critical curves where the blow-up result applies
+    but the global-existence results do not.
     """
     if n < 2:
         raise ValueError(f"kbar_zero requires n >= 2, got {n}")
-    if not n + mu > 1:
-        raise ValueError(f"kbar_zero requires n + mu > 1, got {n + mu}")
-    return 2.0 / (strauss(n + mu) - 1.0) - mu / 2.0
+    d = n + mu
+    if not d > 1:
+        raise ValueError(f"kbar_zero requires n + mu > 1, got {d}")
+    return ((10.0 * d - 7.0) / (math.sqrt(_strauss_radicand(d)) + d) + 2.0 * n - 3.0) / 4.0
 
 
 def mu_max(n: int) -> float:
@@ -208,8 +220,7 @@ def p_bar(n: int, mu: float) -> float:
 
 
 def _mu2_case(n: int, p: float) -> tuple[float, float, tuple[str, bool] | None]:
-    """k1, k2 and p-cap for mu = 2 (no mass term).  Returns (k1, k2, cap)
-    where cap = (label, satisfied) or None."""
+    """(k1, k2, cap) for mu = 2 (no mass term); cap = (label, satisfied) or None."""
     if n < 3:
         raise UncoveredCaseError(f"no encoded admissible range for n = {n}, mu = 2")
     slow, k2 = (3.0 - p) / (p - 1.0), _existence_line(n, 2.0, p)
@@ -226,9 +237,11 @@ def _mu2_case(n: int, p: float) -> tuple[float, float, tuple[str, bool] | None]:
     return k1, k2, (f"p <= (n+1)/(n-3) = {cap:.6g}", p <= cap)
 
 
-def _general_mu_case(n: int, p: float, mu: float) -> tuple[float, float, tuple[str, bool]]:
-    """k1, k2 and p-cap for damping mu in [2, M(n)] with the matching mass
-    nu = (mu/2)(mu/2 - 1)."""
+def _case_with_cap(n: int, p: float, mu: float) -> tuple[float, float, tuple[str, bool] | None]:
+    """k1, k2 and p-cap of the (n, mu) case: `_mu2_case` at mu = 2, else
+    damping mu in [2, M(n)] with the matching mass nu = (mu/2)(mu/2 - 1)."""
+    if mu == 2.0:
+        return _mu2_case(n, p)
     if not 2.0 <= mu <= mu_max(n):
         raise UncoveredCaseError(
             f"mu = {mu} outside the encoded damping range [2, {mu_max(n):.6g}] for n = {n}"
@@ -238,16 +251,10 @@ def _general_mu_case(n: int, p: float, mu: float) -> tuple[float, float, tuple[s
     cap = (f"p < p_bar(n, mu) = {cap_val:.6g}", p < cap_val)
     k1 = max((n - 1.0) / 2.0, 2.0 / (p - 1.0) - mu / 2.0)
     # odd n: the slow-decay guard 1/(p-1) joins for damping above n - 1,
-    # which at n = 3 is every mu that reaches here (mu = 2 is _mu2_case)
+    # which at n = 3 is every mu that reaches here
     if n % 2 == 1 and mu > n - 1.0:
         k1 = max(k1, 1.0 / (p - 1.0))
     return k1, k2, cap
-
-
-def _case_with_cap(n: int, p: float, mu: float):
-    if mu == 2.0:
-        return _mu2_case(n, p)
-    return _general_mu_case(n, p, mu)
 
 
 def admissible_range(n: int, p: float, mu: float) -> tuple[float, float]:
@@ -267,69 +274,23 @@ def admissible_range(n: int, p: float, mu: float) -> tuple[float, float]:
 _T1_CONSTRAINTS = ("kbar + mu/2 > 0", "nu <= (mu/2)(mu/2 - 1)", "p < p_F(kbar + mu/2)")
 
 
-def _theorem1_failures(params: ModelParams) -> tuple[list[str], float, float]:
-    """The hypotheses of the blow-up result that `params` fails, in the
-    order of _T1_CONSTRAINTS (the only place they are tested), with the
-    shifted decay h and the critical mass they were tested on.  The p_F
-    test needs h > 0 and is skipped without it."""
+def _conditions(params: ModelParams) -> tuple[dict[str, tuple], dict[str, bool]]:
+    """Every condition of both routes, in the order they are reported: each
+    blow-up hypothesis that `params` fails, mapped to the terms of its failed
+    relation (the p_F test needs h > 0); then, only if one fails, each
+    global-existence condition, mapped to whether it holds."""
     h, nu_crit = _shifted_decay(params.kbar, params.mu), _critical_mass(params.mu)
-    failed = []
+    failed = {}
     if not h > 0:
-        failed.append(_T1_CONSTRAINTS[0])
+        failed[_T1_CONSTRAINTS[0]] = (h,)
     if not nu_crit >= params.nu:
-        failed.append(_T1_CONSTRAINTS[1])
+        failed[_T1_CONSTRAINTS[1]] = (params.nu, ">", nu_crit)
     if h > 0 and not params.p < fujita(h):
-        failed.append(_T1_CONSTRAINTS[2])
-    return failed, h, nu_crit
-
-
-def _alpha(params: ModelParams) -> float:
-    return 2.0 * (params.p - 1.0) / (4.0 - (params.mu + 2.0 * params.kbar) * (params.p - 1.0))
-
-
-def lifespan_exponent(params: ModelParams) -> float:
-    """Exponent alpha of the lifespan bound T(eps) <= C eps^(-alpha),
-
-        alpha = 2 (p-1) / (4 - (mu + 2 kbar)(p-1)),
-
-    valid under the blow-up hypotheses; raises HypothesisError naming the
-    first failed hypothesis otherwise.  Identical to
-    1 / (2/(p-1) - mu/2 - kbar).
-    """
-    failed, h, nu_crit = _theorem1_failures(params)
-    if failed:
-        if failed[0] == _T1_CONSTRAINTS[0]:
-            values = f"{h}"
-        elif failed[0] == _T1_CONSTRAINTS[1]:
-            values = f"{params.nu} > {nu_crit}"
-        else:
-            values = f"{params.p} >= {fujita(h)}"
-        raise HypothesisError(f"{failed[0]} fails: {values}")
-    return _alpha(params)
-
-
-def classify(params: ModelParams) -> RegionVerdict:
-    """Classify a parameter point as blow-up, known global existence, or
-    unknown.
-
-    Blow-up requires the three strict hypotheses named in the verdict.
-    Global existence requires the exact mass matching
-    nu = (mu/2)(mu/2 - 1) >= 0, damping in [2, M(n)], p strictly above both
-    critical powers and below the case's cap, and a decay parameter
-    reaching the admissible interval (kbar above k2 is downgraded to k2,
-    since faster decay satisfies the slower-decay hypothesis).  Points on
-    a boundary curve are Unknown: nothing is proved there.
-    """
-    t1_failed, h, nu_crit = _theorem1_failures(params)
-    if not t1_failed:
-        return RegionVerdict(
-            kind=Verdict.BLOW_UP,
-            lifespan_exponent=_alpha(params),
-            active_constraints=_T1_CONSTRAINTS,
-        )
+        failed[_T1_CONSTRAINTS[2]] = (params.p, ">=", fujita(h))
+    if not failed:
+        return failed, {}
 
     p, mu, nu, kbar, n = params.p, params.mu, params.nu, params.kbar, params.n
-    # global-existence conditions, label -> holds, in the order they are reported
     mass_ok = nu == nu_crit and nu_crit >= 0.0
     damping_ok = 2.0 <= mu <= mu_max(n)
     ge = {"nu = (mu/2)(mu/2 - 1) >= 0": mass_ok, "2 <= mu <= M(n)": damping_ok}
@@ -346,12 +307,47 @@ def classify(params: ModelParams) -> RegionVerdict:
             ge["p > p_F(kbar + mu/2)"] = h > 0 and p > fujita(h)
             if cap is not None:
                 ge.update([cap])
+    return failed, ge
+
+
+def _alpha(params: ModelParams) -> float:
+    return 2.0 * (params.p - 1.0) / (4.0 - (params.mu + 2.0 * params.kbar) * (params.p - 1.0))
+
+
+def lifespan_exponent(params: ModelParams) -> float:
+    """Exponent alpha of the lifespan bound T(eps) <= C eps^(-alpha),
+
+        alpha = 2 (p-1) / (4 - (mu + 2 kbar)(p-1)),
+
+    valid under the blow-up hypotheses; raises HypothesisError naming the
+    first failed hypothesis otherwise.  Identical to
+    1 / (2/(p-1) - mu/2 - kbar).
+    """
+    failed, _ = _conditions(params)
+    if failed:
+        hypothesis, values = next(iter(failed.items()))
+        raise HypothesisError(f"{hypothesis} fails: {' '.join(map(str, values))}")
+    return _alpha(params)
+
+
+def classify(params: ModelParams) -> RegionVerdict:
+    """Classify a parameter point as blow-up, known global existence, or
+    unknown.
+
+    Blow-up requires the three strict hypotheses named in the verdict.
+    Global existence requires the exact mass matching
+    nu = (mu/2)(mu/2 - 1) >= 0, damping in [2, M(n)], p strictly above both
+    critical powers and below the case's cap, and a decay parameter
+    reaching the admissible interval (kbar above k2 is downgraded to k2,
+    since faster decay satisfies the slower-decay hypothesis).  Points on
+    a boundary curve are Unknown: nothing is proved there.
+    """
+    failed, ge = _conditions(params)
+    if not failed:
+        return RegionVerdict(kind=Verdict.BLOW_UP, lifespan_exponent=_alpha(params), active_constraints=_T1_CONSTRAINTS)
     if all(ge.values()):
         return RegionVerdict(kind=Verdict.GLOBAL_EXISTENCE, lifespan_exponent=None, active_constraints=tuple(ge))
-
-    blocked = tuple(f"no blow-up: {c}" for c in t1_failed) + tuple(
-        f"no global existence: {c}" for c, holds in ge.items() if not holds
-    )
+    blocked = tuple(f"no blow-up: {c}" for c in failed) + tuple(f"no global existence: {c}" for c, holds in ge.items() if not holds)
     return RegionVerdict(kind=Verdict.UNKNOWN, lifespan_exponent=None, active_constraints=blocked)
 
 

@@ -241,6 +241,24 @@ class TestAtlas:
         assert "n + mu > 1" in err
         assert not out_dir.exists()
 
+    # every float mu >= 2^53 is an integer, so the exact labels once trial-divided
+    # up to sqrt(D) ~ n + mu; kbar0 lost its digits, then divided by zero, and D
+    # overflowed inside strauss.  Each run now ends in seconds: it exits 0, or
+    # exits 2 naming the radicand D, which leaves the float range from mu ~ 1.3e154
+    @pytest.mark.parametrize("mu", ["1e9", "1e12", "1e20", "1e100", "1e200", "1e308"])
+    def test_large_mu_ends_and_names_what_fails(self, tmp_path, mu):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blowuplab.cli", "atlas", "--n", "3", "--mu", mu, "--nu", "0", "--out", str(tmp_path / "a")],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        if float(mu) < 1e154:
+            assert proc.returncode == 0, proc.stderr
+            assert 1.99 < strict_json(proc.stdout)["kbar0"] <= 2.0
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: the radicand D = (d+1)^2 + 8(d-1) of p_S(d) is beyond the float range at d = {3 + float(mu)}\n"
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = ["atlas", "--n", "3", "--mu", "2", "--nu", "0", "--kbar-count", "8", "--p-count", "8"]
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -8,7 +8,10 @@ per-cell loops they replaced; the output must match them byte for byte.
 import dataclasses
 import io
 import math
+import re
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,3 +167,53 @@ def test_writers_stream_one_column_at_a_time(tmp_path):
 )
 def test_exact_boundary_labels(n, mu, labels):
     assert exact_boundary_labels(n, mu) == labels
+
+
+def _surd_parts(label: str) -> tuple[int, int, int, int]:
+    """(A, B, q, C) of a label (A + B√q)/C; a fraction A/C has B = 0, q = 1."""
+    if "√" not in label:
+        x = Fraction(label)
+        return x.numerator, 0, 1, x.denominator
+    num, C = label[1:].split(")/") if label.startswith("(") else (label, "1")
+    A, sign, B, q = re.fullmatch(r"(-?\d+(?=[+-]))?([+-]?)(\d*)√(\d+)", num).groups()
+    return int(A or 0), (-1 if sign == "-" else 1) * int(B or 1), int(q), int(C)
+
+
+def test_exact_boundary_labels_up_to_d_1e4():
+    # every d = n + mu <= 10^4: the radicand is the squarefree part of D, each
+    # label is in lowest terms, and its value is p_S(d) and kbar0 to 40 digits
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for d in range(2, 10**4 + 1):
+            D = (d + 1) ** 2 + 8 * (d - 1)
+            p_s = ((d + 1) + mpmath.sqrt(D)) / (2 * (d - 1))
+            want = (2 / (p_s - 1) - mpmath.mpf(d - 2) / 2, p_s)
+            for label, value in zip(exact_boundary_labels(2, float(d - 2)), want):
+                A, B, q, C = _surd_parts(label)
+                assert set(sympy.factorint(q).values()) <= {1}, label
+                assert math.isqrt(D // q) ** 2 * q == D, label
+                assert math.gcd(A, B, C) == 1 and C > 0, label
+                assert abs((A + B * mpmath.sqrt(q)) / C - value) <= mpmath.mpf(10) ** -30 * abs(value), label
+
+
+# float mu >= 2^53 is an integer: D ~ mu^2 has no squarefree part that trial
+# division up to sqrt(D) finds in time, so labels are given only where a
+# bounded search proves the radicand squarefree, and any label given is exact
+@pytest.mark.parametrize("mu", [1e6, 1e9, 1e12, 2.0**60, 1e100, 1e308])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_boundary_labels_bounded_at_large_mu(n, mu):
+    mpmath = pytest.importorskip("mpmath")
+    start = time.perf_counter()
+    labels = exact_boundary_labels(n, mu)
+    assert time.perf_counter() - start < 1.0
+    d = n + int(mu)
+    D = (d + 1) ** 2 + 8 * (d - 1)
+    with mpmath.workdps(2 * len(str(d)) + 40):
+        p_s = ((d + 1) + mpmath.sqrt(D)) / (2 * (d - 1))
+        want = (2 / (p_s - 1) - mpmath.mpf(int(mu)) / 2, p_s)
+        for label, value in zip(labels, want):
+            if label is not None:
+                A, B, q, C = _surd_parts(label)
+                assert math.isqrt(D // q) ** 2 * q == D, label
+                assert abs((A + B * mpmath.sqrt(q)) / C - value) <= mpmath.mpf(10) ** -30 * abs(value), label

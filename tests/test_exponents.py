@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab.exponents import (
@@ -101,6 +101,24 @@ class TestKbarZero:
     def test_defining_identity(self, n, mu):
         k0 = kbar_zero(n, mu)
         assert abs(fujita(k0 + mu / 2.0) - strauss(n + mu)) < 1e-12
+
+    # 2/(p_S - 1) - mu/2 cancelled: a relative error of 2e-10 at mu = 1e4, a
+    # value of -414 at mu = 1e10, and a division by zero once p_S rounds to 1
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_mpmath_up_to_mu_1e12(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        mus = [-0.9, -0.5, 0.0, 1e-320, 0.3, 2.0, 4.5, 7.25] + [f * 10.0**e for e in range(1, 13) for f in (1.0, 3.0)]
+        with mpmath.workdps(60):
+            for mu in mus:
+                d = mpmath.mpf(n) + mpmath.mpf(mu)
+                p_s = ((d + 1) + mpmath.sqrt((d + 1) ** 2 + 8 * (d - 1))) / (2 * (d - 1))
+                want = 2 / (p_s - 1) - mpmath.mpf(mu) / 2
+                assert abs(kbar_zero(n, mu) - want) <= 1e-12 * abs(want), mu
+
+    @pytest.mark.parametrize("call", [lambda: kbar_zero(3, 1e200), lambda: strauss(1e200)])
+    def test_radicand_beyond_the_float_range_is_named(self, call):
+        with pytest.raises(ValueError, match=r"^the radicand D = \(d\+1\)\^2 \+ 8\(d-1\) of p_S\(d\) is beyond the float range at d = 1e\+200$"):
+            call()
 
 
 class TestMuMax:
@@ -379,6 +397,44 @@ class TestClassify:
             "no blow-up: p < p_F(kbar + mu/2)",
             "no global existence: p <= (n+1)/(n-3) = 2",
         )
+
+
+@st.composite
+def model_points(draw):
+    """Points of the whole parameter domain, some placed exactly on
+    p = p_F(kbar + mu/2), nu = (mu/2)(mu/2 - 1) or kbar = -mu/2."""
+    mu = draw(st.one_of(st.sampled_from([0.0, 1e-320, 2.0, 3.0, 4.5]), st.floats(min_value=-1.0, max_value=10.0)))
+    nu = draw(st.one_of(st.just(0.25 * mu * (mu - 2.0)), st.floats(min_value=-3.0, max_value=30.0)))
+    kbar = draw(st.one_of(st.just(-mu / 2.0), st.floats(min_value=-1.0, max_value=8.0, exclude_min=True)))
+    h = kbar + mu / 2.0
+    p = draw(st.one_of(st.just(fujita(h)) if h > 0 else st.nothing(), st.floats(min_value=1.0, max_value=6.0, exclude_min=True)))
+    assume(kbar > -1 and 1 < p < math.inf)
+    return ModelParams(n=draw(st.integers(min_value=2, max_value=11)), mu=mu, nu=nu, p=p, kbar=kbar)
+
+
+# lifespan_exponent and classify take their verdicts from one predicate:
+# a value exactly at BlowUpTheorem1, bit for bit the verdict's exponent,
+# and otherwise a HypothesisError that names the verdict's first failed
+# blow-up hypothesis
+@given(model_points())
+@example(ModelParams(n=3, mu=2.0, nu=0.0, p=fujita(2.0), kbar=1.0))  # on p = p_F
+@example(ModelParams(n=4, mu=1.0, nu=0.0, p=fujita(0.8), kbar=0.3))  # on p = p_F
+@example(ModelParams(n=3, mu=3.0, nu=0.75, p=1.2, kbar=1.0))  # on nu = nu*: blow-up
+@example(ModelParams(n=5, mu=0.5, nu=-0.1875, p=1.5, kbar=0.2))  # on nu = nu* < 0
+@example(ModelParams(n=3, mu=1.0, nu=0.0, p=1.5, kbar=-0.5))  # on kbar = -mu/2
+@example(ModelParams(n=2, mu=1e-320, nu=0.0, p=2.0, kbar=-5e-321))  # on kbar = -mu/2
+@settings(max_examples=500)
+def test_lifespan_exponent_follows_classify(params):
+    verdict = classify(params)
+    if verdict.kind is Verdict.BLOW_UP:
+        assert lifespan_exponent(params).hex() == verdict.lifespan_exponent.hex()
+        return
+    with pytest.raises(HypothesisError) as raised:
+        lifespan_exponent(params)
+    if verdict.kind is Verdict.UNKNOWN:
+        first = verdict.active_constraints[0]
+        assert first.startswith("no blow-up: ")
+        assert str(raised.value).startswith(first.removeprefix("no blow-up: ") + " fails: ")
 
 
 class TestModelParams:
