@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 
-_ORDER, _BUDGET = 20, 200  # default nodes per 1-D panel; panels one interval may use
+_ORDER, _BUDGET = 6, 200  # nodes per 1-D panel, one order for every caller; panels one interval may use
 
 
 @functools.cache
@@ -15,10 +15,10 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)  # (nodes, weights) on [-1, 1]; loads numpy.polynomial
 
 
-def integrate(f, lo, hi, rtol: float, order: int = _ORDER) -> np.ndarray:
+def integrate(f, lo, hi, rtol: float) -> np.ndarray:
     """Integral of f (array to array) over each [lo_i, hi_i], all in one pass.
 
-    A panel of `order` nodes is accepted when its halves agree with it to
+    A panel of _ORDER nodes is accepted when its halves agree with it to
     within rtol times the larger of its own integral of |f| (so a steep
     tail can stop at its rounding) and its share of the interval's running
     one (that of f can cancel to 0), or to below the smallest normal float
@@ -26,7 +26,7 @@ def integrate(f, lo, hi, rtol: float, order: int = _ORDER) -> np.ndarray:
     a non-finite panel or when an interval needs more than _BUDGET panels,
     and ValueError unless each lo_i <= hi_i and both are finite.
     """
-    x, w = gauss_legendre(order)
+    x, w = gauss_legendre(_ORDER)
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise ValueError("quadrature bounds must be finite with lo <= hi")

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: classify, bound, simulate, sweep, atlas, converge.  Every
-subcommand prints a JSON summary to stdout; file-producing subcommands
+subcommand prints a JSON summary to stdout (simulate, sweep and converge
+also write those bytes to a summary file); file-producing subcommands
 write their artifacts under --out with fixed names, and a failed one
 leaves none of the --out directories it made.  A flat key=value config
 file (--config) can supply any option; explicit flags win.  All outputs
@@ -109,14 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def new_cmd(name: str, help_text: str, opts: dict, handler, with_out: bool = True):
+    def new_cmd(name: str, help_text: str, opts: dict, handler, with_out: bool = True, summary_file: str | None = None):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
         if with_out:
             p.add_argument("--out", type=Path, default="out", help="output directory for artifacts [default: out]")
         _add_opts(p, opts)
-        p.set_defaults(handler=handler, opts=opts)
-        return p
+        p.set_defaults(handler=handler, opts=opts, summary_file=summary_file)
 
     new_cmd("classify", "classify one (n, mu, nu, kbar, p) point", _POINT_OPTS, _cmd_classify, with_out=False)
 
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "snapshot_times": (_float_list, (), "comma-separated times for CSV profile snapshots"),
         "history": (bool, False, "include the full amplitude history in the summary JSON"),
     }
-    new_cmd("simulate", "one solver run (+ optional transform check)", sim_opts, _cmd_simulate)
+    new_cmd("simulate", "one solver run (+ optional transform check)", sim_opts, _cmd_simulate, summary_file="run_summary.json")
 
     sweep_opts = {
         **{k: v for k, v in _MODEL_OPTS.items() if k != "eps"},
@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "check_bound": (bool, False, "also compare every T_num against the lifespan upper bound"),
         **_BOUND_OPTS,
     }
-    new_cmd("sweep", "eps-sweep with lifespan power-law fit", sweep_opts, _cmd_sweep)
+    new_cmd("sweep", "eps-sweep with lifespan power-law fit", sweep_opts, _cmd_sweep, summary_file="sweep_summary.json")
 
     atlas_opts = {
         "n": _MODEL_OPTS["n"],
@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare_time": (float, None, "profile comparison time [default: t_max / 2]"),
         "form": (_choice("u", "v", "free"), "u", "solution form: u, v, or free"),
     }
-    new_cmd("converge", "mesh refinement study (observed order)", conv_opts, _cmd_converge)
+    new_cmd("converge", "mesh refinement study (observed order)", conv_opts, _cmd_converge, summary_file="convergence.json")
 
     return parser
 
@@ -222,19 +222,13 @@ def _json(payload: dict) -> str:
     return json.dumps(strict, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(payload: dict) -> None:
-    print(_json(payload), end="")
+def _cmd_classify(cfg: dict) -> dict:
+    return dataclasses.asdict(exponents.classify(_params(cfg)))
 
 
-def _cmd_classify(cfg: dict) -> int:
-    _emit(dataclasses.asdict(exponents.classify(_params(cfg))))
-    return 0
-
-
-def _cmd_bound(cfg: dict) -> int:
+def _cmd_bound(cfg: dict) -> dict:
     bc = bound_engine.BoundConfig(params=_params(cfg), delta_m=cfg["delta_m"])
-    _emit(dataclasses.asdict(bound_engine.lifespan_upper_bound(bc)))
-    return 0
+    return dataclasses.asdict(bound_engine.lifespan_upper_bound(bc))
 
 
 def _run_payload(result: solver.SolverRun, with_history: bool) -> dict:
@@ -251,7 +245,7 @@ def _run_payload(result: solver.SolverRun, with_history: bool) -> dict:
     return payload
 
 
-def _cmd_simulate(cfg: dict) -> int:
+def _cmd_simulate(cfg: dict) -> dict:
     params = _params(cfg)
     grid = _grid(cfg)
     times = cfg["snapshot_times"]
@@ -275,12 +269,10 @@ def _cmd_simulate(cfg: dict) -> int:
             for snap in result.snapshots if times else []:
                 for rv, uv in zip(snap.r, snap.u):
                     fh.write(f"{snap.t:.12g},{rv:.12g},{uv:.12g}\n")
-    (cfg["out"] / "run_summary.json").write_text(_json(payload), encoding="utf-8")
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_sweep(cfg: dict) -> int:
+def _cmd_sweep(cfg: dict) -> dict:
     spec = experiments.SweepSpec(
         params_base=_params(cfg),
         eps_values=cfg["eps_values"],
@@ -311,12 +303,11 @@ def _cmd_sweep(cfg: dict) -> int:
         rows = [[r.eps, r.T_num, r.T_upper, r.ok, r.vacuous] for r in report.rows]
         summary["bound_check"] = {**dataclasses.asdict(report), "rows": rows}
         (cfg["out"] / "bound_check.json").write_text(_json(summary["bound_check"]), encoding="utf-8")
-    (cfg["out"] / "sweep_summary.json").write_text(_json(summary), encoding="utf-8")
-    _emit(summary)
-    return 0
+    return summary
 
 
-def _cmd_atlas(cfg: dict) -> int:
+def _cmd_atlas(cfg: dict) -> dict:
+    note = diagram.boundary_annotation(cfg["n"], cfg["mu"])  # raises for n + mu <= 1 or D beyond floats, before any classify
     result = exponents.atlas(
         n=cfg["n"],
         mu=cfg["mu"],
@@ -324,7 +315,6 @@ def _cmd_atlas(cfg: dict) -> int:
         k_grid=(cfg["kbar_min"], cfg["kbar_max"], cfg["kbar_count"]),
         p_grid=(cfg["p_min"], cfg["p_max"], cfg["p_count"]),
     )
-    note = diagram.boundary_annotation(cfg["n"], cfg["mu"])  # raises for n + mu <= 1, before any write
     files = []
     if cfg["format"] in ("csv", "both"):
         result.to_csv(cfg["out"] / "atlas.csv")
@@ -332,18 +322,14 @@ def _cmd_atlas(cfg: dict) -> int:
     if cfg["format"] in ("svg", "both"):
         diagram.write_atlas_svg(result, cfg["out"] / "atlas.svg")
         files.append("atlas.svg")
-    _emit({**note, "counts": result.verdict_counts(), "files": files})
-    return 0
+    return {**note, "counts": result.verdict_counts(), "files": files}
 
 
-def _cmd_converge(cfg: dict) -> int:
+def _cmd_converge(cfg: dict) -> dict:
     report = experiments.convergence_study(
         _params(cfg), _grid(cfg), levels=cfg["levels"], form=solver.Form(cfg["form"]), compare_time=cfg["compare_time"]
     )
-    payload = dataclasses.asdict(report)
-    (cfg["out"] / "convergence.json").write_text(_json(payload), encoding="utf-8")
-    _emit(payload)
-    return 0
+    return dataclasses.asdict(report)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -358,7 +344,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cfg["out"] is not None:  # before the handler: an unwritable --out exits 3 with nothing computed
             made = [d for d in (cfg["out"], *cfg["out"].parents) if not d.exists()]
             cfg["out"].mkdir(parents=True, exist_ok=True)
-        return args.handler(cfg)
+        text = _json(args.handler(cfg))
+        if args.summary_file is not None:  # the file holds exactly the bytes printed
+            (cfg["out"] / args.summary_file).write_text(text, encoding="utf-8")
+        print(text, end="")
+        return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         code = 3

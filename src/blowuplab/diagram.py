@@ -39,9 +39,9 @@ def _squarefree(D: int) -> tuple[int, int] | None:
 
 def _format_surd(x: Fraction, y: Fraction, q: int) -> str:
     """Render x + y*sqrt(q) as (A + B*sqrt(q))/C in lowest terms with C > 0,
-    or as the fraction x when y = 0."""
-    if y == 0:
-        return str(x)
+    or as the fraction x + y when q = 1."""
+    if q == 1:
+        return str(x + y)
     C = math.lcm(x.denominator, y.denominator)
     A, B = int(x * C), int(y * C)
     root = f"√{q}" if abs(B) == 1 else f"{abs(B)}√{q}"
@@ -56,11 +56,10 @@ def exact_boundary_labels(n: int, mu: float) -> tuple[str | None, str | None]:
     """Exact-form strings (kbar0, p_S(n+mu)) when n + mu is an integer and
     the squarefree part of D below is found, else (None, None).
 
-    p_S(d) = ((d+1) + sqrt(D)) / (2(d-1)) with D = (d+1)^2 + 8(d-1) =
-    s^2 q, q squarefree, is x + y sqrt(q) with rational x and y (y = 0 when
-    D is a square, which happens only at d = 4).  kbar0 = 2/(p_S - 1) - mu/2
-    is computed in the same field by 1/(a + b sqrt(q)) = (a - b sqrt(q)) /
-    (a^2 - b^2 q).
+    With d = n + mu and D = (d+1)^2 + 8(d-1) = s^2 q, q squarefree,
+    p_S(d) = ((d+1) + sqrt(D)) / (2(d-1)), and the identity D - d^2 = 10d - 7
+    gives kbar0 = 2/(p_S - 1) - mu/2 = (sqrt(D) + n - mu - 3)/4: both are
+    affine in s sqrt(q) with rational coefficients (q = 1 only at d = 4).
     """
     if not float(mu).is_integer():
         return None, None
@@ -68,12 +67,8 @@ def exact_boundary_labels(n: int, mu: float) -> tuple[str | None, str | None]:
     if d <= 1 or (split := _squarefree((d + 1) ** 2 + 8 * (d - 1))) is None:
         return None, None
     s, q = split
-    x, y = Fraction(d + 1, 2 * (d - 1)), Fraction(s, 2 * (d - 1))
-    if q == 1:
-        x, y = x + y, Fraction(0)
-    a = x - 1
-    norm = a * a - y * y * q
-    return _format_surd(2 * a / norm - Fraction(int(mu), 2), -2 * y / norm, q), _format_surd(x, y, q)
+    kbar0 = _format_surd(Fraction(n - int(mu) - 3, 4), Fraction(s, 4), q)
+    return kbar0, _format_surd(Fraction(d + 1, 2 * (d - 1)), Fraction(s, 2 * (d - 1)), q)
 
 
 def boundary_annotation(n: int, mu: float) -> dict:

@@ -184,9 +184,9 @@ def strauss(d: float) -> float:
 def kbar_zero(n: int, mu: float) -> float:
     """Decay threshold kbar0 solving p_F(kbar0 + mu/2) = p_S(n + mu).
 
-    Algebraically kbar0 = 2/(p_S(d) - 1) - mu/2 with d = n + mu, computed
-    as ((10d - 7)/(sqrt(D) + d) + 2n - 3)/4 (D the radicand of p_S), which
-    does not cancel as d grows.  For kbar below kbar0 there is a band of
+    With d = n + mu and D the radicand of p_S, the identity D - d^2 = 10d - 7
+    gives kbar0 = 2/(p_S(d) - 1) - mu/2 = (sqrt(D) - d + 2n - 3)/4, computed
+    with sqrt(D) - d = (10d - 7)/(sqrt(D) + d), which does not cancel as d grows.  For kbar below kbar0 there is a band of
     powers between the two critical curves where the blow-up result applies
     but the global-existence results do not.
     """
@@ -355,7 +355,7 @@ GridLike = Union[Sequence[float], tuple[float, float, int], np.ndarray]
 
 
 def _as_grid(spec: GridLike, name: str) -> np.ndarray:
-    """Accept either an explicit value sequence or a (lo, hi, count) range."""
+    """Accept either an explicit value sequence or a (lo, hi, count) range, strictly increasing."""
     if isinstance(spec, tuple) and len(spec) == 3 and isinstance(spec[2], (int, np.integer)):
         lo, hi, count = spec
         values = np.linspace(float(lo), float(hi), max(int(count), 0))  # count <= 0: empty, rejected below
@@ -365,6 +365,8 @@ def _as_grid(spec: GridLike, name: str) -> np.ndarray:
         raise ValueError(f"{name}: empty grid")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name}: grid values must be finite")
+    if not np.all(np.diff(values) > 0):  # _render puts cell edges at the midpoints
+        raise ValueError(f"{name}: grid values must be strictly increasing")
     return values
 
 

@@ -374,7 +374,7 @@ def exact_free_wave_n3(t: float, r, g: Callable[[float], float], eps: float = 1.
     rv = radii[inner]
     lo, hi = np.abs(rv - t), rv + t
     ends = np.sort(np.r_[lo, hi])
-    pieces = np.append(integrate(sg, ends[:-1], ends[1:], rtol=1e-12, order=6), 0.0)  # 0: reduceat may start at the end
+    pieces = np.append(integrate(sg, ends[:-1], ends[1:], rtol=1e-12), 0.0)  # 0: reduceat may start at the end
     first, last = np.searchsorted(ends, lo), np.searchsorted(ends, hi)  # pieces[first:last] span [lo, hi]
     sums = np.add.reduceat(pieces, np.c_[first, last].ravel())[::2]
     out[inner] = eps / (2.0 * rv) * np.where(first < last, sums, 0.0)

@@ -259,6 +259,43 @@ class TestAtlas:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr == f"error: the radicand D = (d+1)^2 + 8(d-1) of p_S(d) is beyond the float range at d = {3 + float(mu)}\n"
 
+    # the annotation raised only after every point was classified
+    @pytest.mark.parametrize("n, mu", [("3", "1e200"), ("2", "-1.5")])
+    def test_an_annotation_that_raises_classifies_no_point(self, capsys, tmp_path, monkeypatch, n, mu):
+        calls = []
+
+        def spy(*args, _real=exponents.classify):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(exponents, "classify", spy)
+        code, out, _ = run_cli(capsys, "atlas", "--n", n, "--mu", mu, "--nu", "0", "--out", str(tmp_path / "atl"))
+        assert (code, out, calls) == (2, "", [])
+        assert tree(tmp_path) == {}
+
+    # the cells of a grid that does not increase had a negative or zero size
+    @pytest.mark.parametrize(
+        "grid, name",
+        [
+            (("--kbar-min", "4", "--kbar-max", "-0.5", "--kbar-count", "5"), "k_grid"),
+            (("--p-min", "3.5", "--p-max", "1.05"), "p_grid"),
+            (("--kbar-min", "1", "--kbar-max", "1", "--kbar-count", "2"), "k_grid"),
+        ],
+        ids=["reversed-kbar", "reversed-p", "repeated-kbar"],
+    )
+    def test_a_grid_that_does_not_increase_exits_2(self, capsys, tmp_path, grid, name):
+        code, out, err = run_cli(capsys, "atlas", "--n", "3", "--mu", "2", "--nu", "0", "--p-count", "4", *grid, "--out", str(tmp_path / "atl"))
+        assert (code, out, err) == (2, "", f"error: {name}: grid values must be strictly increasing\n")
+        assert tree(tmp_path) == {}
+
+    def test_a_one_node_grid_is_valid(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "atlas", "--n", "3", "--mu", "2", "--nu", "0", "--kbar-min", "1", "--kbar-max", "1", "--kbar-count", "1",
+            "--p-count", "4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert sum(strict_json(out)["counts"].values()) == 4
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = ["atlas", "--n", "3", "--mu", "2", "--nu", "0", "--kbar-count", "8", "--p-count", "8"]
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -337,7 +374,6 @@ class TestSimulate:
         assert payload["transform_check"] == {"times": [], "discrepancies": [], "max_rel_discrepancy": None}
         assert payload["u"]["outcome"] == "BlewUp" and payload["u"]["T_num"] < 5.0
         assert payload["v"]["outcome"] == "BlewUp"
-        assert json.loads((out_dir / "run_summary.json").read_text(encoding="utf-8")) == payload
         for name in ("snapshots_u.csv", "snapshots_v.csv"):
             assert (out_dir / name).read_text(encoding="utf-8") == "t,r,u\n"
 
@@ -401,21 +437,19 @@ class TestSimulate:
         payload = json.loads(proc.stdout)
         assert payload["outcome"] == "BlewUp" and payload["T_num"] < 20.0
 
+    # the unbounded threshold and the last, non-finite amplitude of the
+    # history are not JSON numbers
+    NON_FINITE = [
+        "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--eps", "5",
+        "--dr", "0.1", "--r-max", "30", "--t-max", "15", "--u-threshold", "inf", "--history",
+    ]
+
     def test_non_finite_numbers_are_written_as_null(self, capsys, tmp_path):
-        # the unbounded threshold and the last, non-finite amplitude of the
-        # history are not JSON numbers
-        out_dir = tmp_path / "sim"
-        code, out, _ = run_cli(
-            capsys,
-            "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--eps", "5",
-            "--dr", "0.1", "--r-max", "30", "--t-max", "15", "--u-threshold", "inf", "--history",
-            "--out", str(out_dir),
-        )
+        code, out, _ = run_cli(capsys, *self.NON_FINITE, "--out", str(tmp_path / "sim"))
         assert code == 0
         payload = strict_json(out)
         assert payload["grid"]["u_threshold"] is None
         assert payload["max_amplitude_history"][-1] == [pytest.approx(payload["T_num"]), None]
-        assert strict_json((out_dir / "run_summary.json").read_text(encoding="utf-8")) == payload
 
     def test_unknown_form(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -547,36 +581,33 @@ class TestSweepCommand:
         assert err == "error: need at least 4 eps values, got 0\n"
         assert not (tmp_path / "sw").exists()
 
+    # every eps survives t_max = 8 at the criterion-7 model: no fit exists
+    INCOMPLETE = [
+        "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--M", "0.02",
+        "--eps-values", "0.5,1,2,4", "--dr", "0.2", "--r-max", "40", "--t-max", "8",
+        "--refinement-levels", "1", "--jobs", "1",
+    ]
+
     def test_incomplete_sweep_writes_a_null_fit(self, capsys, tmp_path):
-        # every eps survives t_max = 8 at the criterion-7 model: no fit exists
-        out_dir = tmp_path / "sw"
-        code, out, _ = run_cli(
-            capsys,
-            "sweep", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8", "--M", "0.02",
-            "--eps-values", "0.5,1,2,4", "--dr", "0.2", "--r-max", "40", "--t-max", "8",
-            "--refinement-levels", "1", "--jobs", "1", "--out", str(out_dir),
-        )
+        code, out, _ = run_cli(capsys, *self.INCOMPLETE, "--out", str(tmp_path / "sw"))
         assert code == 0
         payload = strict_json(out)
         assert payload["survived_eps"] == [0.5, 1.0, 2.0, 4.0] and payload["pass"] is False
         assert (payload["slope"], payload["intercept"], payload["r_squared"]) == (None, None, None)
-        assert strict_json((out_dir / "sweep_summary.json").read_text(encoding="utf-8")) == payload
 
 
 class TestConvergeCommand:
+    FREE = [
+        "converge", "--n", "3", "--mu", "0", "--nu", "0", "--kbar", "0.5", "--p", "2",
+        "--eps", "0.05", "--form", "free", "--dr", "0.1", "--r-max", "10", "--t-max", "4", "--levels", "4",
+    ]
+
     def test_report_written(self, capsys, tmp_path):
-        out_dir = tmp_path / "conv"
-        code, out, _ = run_cli(
-            capsys,
-            "converge", "--n", "3", "--mu", "0", "--nu", "0", "--kbar", "0.5", "--p", "2",
-            "--eps", "0.05", "--form", "free", "--dr", "0.1", "--r-max", "10", "--t-max", "4",
-            "--levels", "4", "--out", str(out_dir),
-        )
+        code, out, _ = run_cli(capsys, *self.FREE, "--out", str(tmp_path / "conv"))
         assert code == 0
         payload = json.loads(out)
         assert len(payload["profile_errors"]) == 3
         assert len(payload["profile_orders"]) == 2
-        assert (out_dir / "convergence.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_compare_time_rejected(self, capsys, tmp_path, value):
@@ -588,6 +619,23 @@ class TestConvergeCommand:
         )
         assert code == 2
         assert f"compare_time must be finite, got {value}" in err
+
+
+# main writes each summary file from the very text it prints
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (TestSimulate.EARLY_BLOW_UP, "run_summary.json"),
+        (TestSimulate.NON_FINITE, "run_summary.json"),
+        (TestSweepCommand.INCOMPLETE, "sweep_summary.json"),
+        (TestConvergeCommand.FREE, "convergence.json"),
+    ],
+    ids=["simulate-both", "simulate-null", "sweep-null-fit", "converge"],
+)
+def test_the_summary_file_holds_the_printed_bytes(capsys, tmp_path, args, name):
+    code, out, _ = run_cli(capsys, *args, "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / name).read_bytes() == out.encode("utf-8")
 
 
 @pytest.fixture

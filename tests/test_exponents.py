@@ -512,6 +512,7 @@ class TestAtlas:
         (lambda: admissible_range(1, 2.0, 2.0), "admissible_range requires n >= 2, got 1"),
         (lambda: admissible_range(3, 1.0, 2.0), "admissible_range requires p > 1, got 1.0"),
         (lambda: atlas(3, 2.0, 0.0, [0.0, math.inf], [2.0]), "k_grid: grid values must be finite"),
+        (lambda: atlas(3, 2.0, 0.0, [1.0, 0.5], [2.0]), "k_grid: grid values must be strictly increasing"),
     ],
 )
 def test_each_check_names_its_reason(call, message):

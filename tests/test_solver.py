@@ -356,7 +356,7 @@ class TestFreeWaveAccuracy:
             vg, rv = np.vectorize(g, otypes=[float]), r[inner]
             lo, hi = np.abs(rv - t), rv + t
             ends = np.sort(np.r_[lo, hi])
-            pieces = np.append(integrate(lambda s: s * vg(s), ends[:-1], ends[1:], rtol=1e-12, order=6), 0.0)
+            pieces = np.append(integrate(lambda s: s * vg(s), ends[:-1], ends[1:], rtol=1e-12), 0.0)
             first, last = np.searchsorted(ends, lo), np.searchsorted(ends, hi)
             sums = np.add.reduceat(pieces, np.c_[first, last].ravel())[::2]
             out[inner] = eps / (2.0 * rv) * np.where(first < last, sums, 0.0)
