@@ -20,7 +20,7 @@ import numpy as np
 
 from .bound_engine import LifespanBound
 from .exponents import ModelParams, lifespan_exponent
-from .solver import Form, GridSpec, run
+from .solver import Form, GridSpec, causal_node_count, run
 
 __all__ = [
     "SweepSpec",
@@ -112,8 +112,8 @@ def _sweep_chain(task: tuple[Form, ModelParams, GridSpec, int]) -> list[float | 
             t_max = min(T_MARGIN * prev.T_num, full.t_max)
             cut = dataclasses.replace(full, t_max=t_max, r_max=min(t_max / full.cfl + R_OBS, full.r_max))
             res = run(form, params, cut, collect_history=False)
-            if cut != full and (res.T_num is None or res.r_star > cut.r_max - res.t_end / cut.cfl - R_OBS / 2):
-                res = None  # survived t_max', or peaked near the edge of the region it kept
+            if cut != full and (res.T_num is None or res.r_star > (causal_node_count(cut, res.t_end) - 1) * cut.dr - R_OBS / 2):
+                res = None  # survived t_max', or peaked within R_OBS/2 of the last node of the region it kept
         prev = res or run(form, params, full, collect_history=False)
         Ts.append(prev.T_num)
     return Ts
@@ -278,11 +278,11 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Halve (dr, dt) per level and measure the observed order.
 
-    Profiles at a common comparison time (snapped to a multiple of the
-    coarsest dt so every level lands on it exactly) are differenced on
-    shared nodes in the radially weighted L2 norm
-    (dr sum r^(n-1) du^2)^(1/2); successive error ratios give the
-    Richardson order.  Passes when every profile order lies in
+    Profiles at a common comparison time, snapped to the nearest coarse
+    level k >= 1 with k dt <= t_max (so every level reaches it), are
+    differenced on the coarse nodes that all levels hold, in the radially
+    weighted L2 norm (dr sum r^(n-1) du^2)^(1/2); successive error ratios
+    give the Richardson order.  Passes when every profile order lies in
     [1.5, 2.5].  Blowing up before the comparison time is an error asking
     for a smaller compare_time.
     """
@@ -294,10 +294,14 @@ def convergence_study(
         raise ValueError(f"compare_time must be finite, got {t_c}")
     if not t_c > 0:
         raise ValueError(f"compare_time must be > 0, got {t_c}")
-    n0 = max(1, int(round(t_c / dt0)))
-    t_c = n0 * dt0
     if t_c > grid.t_max:
         raise ValueError("compare_time exceeds t_max")
+    n0 = max(1, round(t_c / dt0))
+    if n0 * dt0 > grid.t_max:  # one level back, which every finer level reaches
+        n0 -= 1
+    if n0 < 1:
+        raise ValueError(f"t_max = {grid.t_max} is shorter than the coarse step dt = {dt0}")
+    t_c = n0 * dt0
 
     runs = []
     for level in range(levels):
@@ -310,17 +314,13 @@ def convergence_study(
             )
         runs.append(res)
 
-    # restrict to nodes of the coarsest grid, causal at t_c
-    base_nodes = runs[0].snapshots[0].u.size
-    profiles = []
-    for level, res in enumerate(runs):
-        stride = 2**level
-        profiles.append(res.snapshots[0].u[: (base_nodes - 1) * stride + 1 : stride])
-
-    weights = grid.dr * runs[0].snapshots[0].r[:base_nodes] ** (params.n - 1.0)
+    # the coarse nodes, causal at t_c, that every level holds
+    profiles = [res.snapshots[0].u[:: 2**level] for level, res in enumerate(runs)]
+    m = min(u.size for u in profiles)
+    weights = grid.dr * runs[0].snapshots[0].r[:m] ** (params.n - 1.0)
     errors = []
     for a, b in zip(profiles, profiles[1:]):
-        errors.append(float(math.sqrt(np.sum(weights * (a - b) ** 2))))
+        errors.append(float(math.sqrt(np.sum(weights * (a[:m] - b[:m]) ** 2))))
     orders = []
     for e0, e1 in zip(errors, errors[1:]):
         orders.append(math.log2(e0 / e1) if e1 > 0 else math.inf)

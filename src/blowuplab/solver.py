@@ -259,7 +259,9 @@ def run(
     from the first step on is tested: T_num is refined by linear
     interpolation of the amplitude between the last level below
     u_threshold (level 0 has amplitude 0) and the first at or above it; a
-    non-finite amplitude reports the level where it appeared.
+    non-finite amplitude reports the level where it appeared.  A snapshot
+    time s is taken at level round(s/dt), ties to even, the rule of the last
+    level round(t_max/dt): every s in [0, t_max] unless the run stops first.
     """
     limit = max_stable_cfl(params.n)
     if grid.cfl > limit * (1.0 + 1e-12):
@@ -278,16 +280,14 @@ def run(
     if g_vals.shape != r.shape:
         raise ConfigurationError(f"g(r) must have the shape {r.shape} of r, got {g_vals.shape}")
 
-    pending = sorted(float(s) for s in snapshot_times)
-    for s in pending:
+    for s in snapshot_times:
         if not 0 <= s <= grid.t_max:  # also rejects NaN
             raise ConfigurationError(f"snapshot time {s} outside [0, t_max]")
+    pending = sorted(round(float(s) / dt) for s in snapshot_times)
     snapshots: list[Snapshot] = []
 
-    def take_due_snapshots(t: float, level: np.ndarray, nc: int) -> None:
-        # nearest-step semantics: fire once the step midpoint passes the
-        # requested time, so a request at t_max is never missed
-        while pending and t + dt / 2.0 >= pending[0]:
+    def take_due_snapshots(j: int, t: float, level: np.ndarray, nc: int) -> None:
+        while pending and pending[0] == j:
             pending.pop(0)
             snapshots.append(Snapshot(t=t, r=r[:nc].copy(), u=level[:nc].copy()))
 
@@ -296,7 +296,7 @@ def run(
     kernel = _Leapfrog(form, params, grid)
     u, au = np.zeros_like(r), np.empty_like(r)  # level 0: u = 0, amplitude 0
     t, amp, T_num, n_nodes, history = 0.0, 0.0, None, grid.n_nodes, []
-    take_due_snapshots(t, u, n_nodes)
+    take_due_snapshots(0, t, u, n_nodes)
     # |u|^p may overflow and inf - inf give NaN: reported below as a non-finite level
     with np.errstate(over="ignore", invalid="ignore"):
         # level 1 from u = 0, u_t = eps g: u_tt(0) = -b_mu eps g, which gives
@@ -321,7 +321,7 @@ def run(
                 break
             amp = new_amp
             if pending:
-                take_due_snapshots(t, u, nc)
+                take_due_snapshots(j, t, u, nc)
 
     hist = np.asarray(history) if history else np.empty((0, 2))
     r_star = None if T_num is None else float(r[np.argmax(au[:nc])])  # au holds |u| of the stop level

@@ -33,12 +33,11 @@ from blowuplab.exponents import ModelParams, atlas, fujita, kbar_zero, lifespan_
 from blowuplab.solver import (
     Form,
     GridSpec,
-    exact_free_wave_n3,
     run,
     transform_check,
 )
 from test_diagram import assert_same_text
-from test_solver import max_energy_drift
+from test_solver import gaussian_free_wave_n3, max_energy_drift
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -147,7 +146,7 @@ def test_criterion_5_free_wave_convergence_and_energy():
         tc = round(5.0 / grid.dt) * grid.dt
         res = run(Form.FREE, params, grid, g=g, snapshot_times=[tc], collect_history=False)
         snap = res.snapshots[0]
-        exact = exact_free_wave_n3(snap.t, snap.r, lambda s: math.exp(-s * s))
+        exact = gaussian_free_wave_n3(snap.t, snap.r)
         errs.append(float(np.max(np.abs(snap.u - exact))))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     assert all(1.8 <= o <= 2.2 for o in orders), orders

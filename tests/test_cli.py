@@ -384,6 +384,19 @@ class TestSimulate:
         assert "no common snapshots" in err
         assert not (out_dir / "run_summary.json").exists()
 
+    def test_both_forms_take_a_snapshot_at_t_max(self, capsys, tmp_path):
+        # t_max = 1.015 = 14.5 dt: the last level, 14 (ties to even), takes it
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
+            "--eps", "0.05", "--form", "both", "--dr", "0.1", "--r-max", "8", "--t-max", "1.015",
+            "--snapshot-times", "1.015", "--out", str(tmp_path / "simb"),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["u"]["outcome"] == payload["v"]["outcome"] == "Survived"
+        assert payload["transform_check"]["times"] == [payload["u"]["t_end"]]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [
             "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
@@ -608,6 +621,32 @@ class TestConvergeCommand:
         payload = json.loads(out)
         assert len(payload["profile_errors"]) == 3
         assert len(payload["profile_orders"]) == 2
+
+    README = [
+        "converge", "--n", "3", "--mu", "0", "--nu", "0", "--kbar", "0.5", "--p", "2",
+        "--eps", "0.05", "--form", "free", "--dr", "0.08", "--t-max", "6", "--levels", "4",
+    ]
+
+    def test_r_max_off_the_grid_compares_the_shared_nodes(self, capsys, tmp_path):
+        # r_max/dr = 175.625 gives 177 coarse nodes but 352, not 353, at dr/2;
+        # the nodes all levels share are those of r_max = 14
+        for r_max in ("14", "14.05"):
+            code, _, err = run_cli(capsys, *self.README, "--r-max", r_max, "--out", str(tmp_path / r_max))
+            assert code == 0, err
+        assert (tmp_path / "14.05" / "convergence.json").read_bytes() == (tmp_path / "14" / "convergence.json").read_bytes()
+
+    def test_compare_time_at_t_max_snaps_to_a_level_every_grid_reaches(self, capsys, tmp_path):
+        # 1.085 = 15.5 dt snaps to level 16, past t_max; level 15 is taken
+        args = [
+            "converge", "--n", "3", "--mu", "0", "--nu", "0", "--kbar", "0.5", "--p", "2", "--eps", "0.05",
+            "--form", "free", "--dr", "0.1", "--r-max", "8", "--t-max", "1.085", "--levels", "3",
+        ]
+        code, out, err = run_cli(capsys, *args, "--compare-time", "1.085", "--out", str(tmp_path / "a"))
+        assert code == 0, err
+        assert json.loads(out)["compare_time"] == 15 * (0.7 * 0.1)
+        code, _, err = run_cli(capsys, *args, "--compare-time", "1.1", "--out", str(tmp_path / "b"))
+        assert code == 2
+        assert "compare_time exceeds t_max" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_compare_time_rejected(self, capsys, tmp_path, value):

@@ -501,6 +501,10 @@ class TestConvergenceStudy:
     [
         (lambda: SweepSpec(params_base=FAST_PARAMS, eps_values=FAST_EPS, grid=FAST_GRID, refinement_levels=0), "refinement_levels must be >= 1"),
         (lambda: convergence_study(FAST_PARAMS, FAST_GRID, levels=3, compare_time=2.0 * FAST_GRID.t_max), "compare_time exceeds t_max"),
+        (
+            lambda: convergence_study(FAST_PARAMS, dataclasses.replace(FAST_GRID, t_max=0.05), levels=3),
+            f"t_max = 0.05 is shorter than the coarse step dt = {FAST_GRID.dt}",
+        ),
     ],
 )
 def test_each_check_names_its_reason(call, message):

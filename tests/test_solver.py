@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab._quadrature import integrate
@@ -34,6 +34,15 @@ BLOWUP_PARAMS = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, M=1.0, eps=5.0
 
 def gaussian(r):
     return np.exp(-np.asarray(r, dtype=float) ** 2)
+
+
+def gaussian_free_wave_n3(t, r):
+    """The exact n = 3 free wave with u(0) = 0, u_t(0) = exp(-r^2):
+    exp(-r^2-t^2) sinh(2rt)/(2r), and t exp(-t^2) at r = 0, written as
+    t exp(-r^2-t^2) sinh(x)/x, x = 2rt, so no difference cancels at small r."""
+    r = np.asarray(r, dtype=float)
+    x = 2.0 * r * t
+    return t * np.exp(-r * r - t * t) * np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def cell_faces(grid, n):
@@ -237,8 +246,8 @@ class TestRun:
             run(Form.FREE, FREE_PARAMS, grid, snapshot_times=[float("nan"), 1.0])
 
     def test_snapshots_near_zero_take_the_nearest_level(self):
-        # a request up to dt/2 is nearest to t = 0 (ties go to the earlier
-        # level), a later one to t = dt
+        # a request up to dt/2 is nearest to t = 0 (the tie dt/2 goes to the
+        # even level 0), a later one to t = dt
         grid = GridSpec(dr=0.1, r_max=6.0, t_max=1.0, cfl=0.7)
         dt = grid.dt
         res = run(Form.FREE, FREE_PARAMS, grid, snapshot_times=[0.6 * dt, 0.5 * dt, 0.2 * dt, 0.0])
@@ -246,6 +255,25 @@ class TestRun:
         for snap in res.snapshots[:3]:
             assert snap.u.size == grid.n_nodes and not snap.u.any()
         assert res.snapshots[3].u.any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=20),
+        st.integers(min_value=2, max_value=10),
+        st.integers(min_value=2, max_value=10),
+        st.integers(min_value=1, max_value=400),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    @example(10, 3, 7, 203, [])  # t_max = 1.015 = 14.5 dt, a tie; the float time of level 14 is 4e-16 short of 1.015 - dt/2
+    def test_every_snapshot_time_is_served_once_at_its_level(self, hundredths, n, tenths, k, fractions):
+        # each time s in [0, t_max], t_max itself too, is taken exactly once,
+        # at the level round(s/dt) (ties to even), the rule of the last level
+        cfl, t_max = min(tenths / 10, max_stable_cfl(n)), k * 0.005
+        grid = GridSpec(dr=hundredths / 100, r_max=t_max / cfl + 1.0, t_max=t_max, cfl=cfl)
+        times = [f * t_max for f in fractions] + [t_max]
+        res = run(Form.FREE, replace(FREE_PARAMS, n=n), grid, g=gaussian, snapshot_times=times, collect_history=False)
+        assert res.outcome == "Survived"
+        assert [round(snap.t / grid.dt) for snap in res.snapshots] == sorted(round(s / grid.dt) for s in times)
 
     def test_finite_propagation(self):
         # perturb the data inside r <= R0; beyond the discrete influence
@@ -478,6 +506,49 @@ class TestOddDimensionDescent:
         assert all(1.8 <= o <= 2.2 for o in orders), (errs, orders)
 
 
+class TestEvenDimensionHankel:
+    """Exact free waves for any n by the Hankel transform: with u(0) = 0
+    and u_t(0) = exp(-r^2),
+
+        u(t, r) = 2^(-n/2) r^(-nu) int_0^inf sin(kt) exp(-k^2/4) J_nu(kr) k^nu dk,
+
+    nu = n/2 - 1, by scipy's `quad` on k in [0, 40], where exp(-k^2/4) has
+    fallen to e^-400.  It stops at n = 8: at n = 10 `quad` warns of
+    roundoff at a far radius, where u is many orders below the integrand
+    it cancels out of, and the odd dimensions have the descent reference."""
+
+    @staticmethod
+    def exact(n, t, r):
+        from scipy.integrate import quad
+        from scipy.special import jv
+
+        nu = n / 2.0 - 1.0
+
+        def integrand(k, rv):
+            return math.sin(k * t) * math.exp(-k * k / 4.0) * jv(nu, k * rv) * k**nu
+
+        quads = [quad(integrand, 0.0, 40.0, args=(rv,), limit=400, epsabs=1e-14, epsrel=1e-12)[0] for rv in r]
+        return 2.0 ** (-n / 2.0) * np.asarray(r) ** (-nu) * np.array(quads)
+
+    def test_reference_is_the_closed_form_at_n_3(self):
+        r = np.linspace(0.1, 8.0, 81)
+        np.testing.assert_allclose(self.exact(3, 2.0, r), gaussian_free_wave_n3(2.0, r), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_second_order_against_hankel_reference(self, n):
+        # on the coarse nodes; the origin, where r^(-nu) is singular, has weight r^(n-1) = 0
+        params, ref, errs = replace(FREE_PARAMS, n=n), None, []
+        for level, dr in enumerate((0.08, 0.04, 0.02, 0.01)):
+            grid = GridSpec(dr=dr, r_max=20.0, t_max=3.2, cfl=0.4)
+            snap = run(Form.FREE, params, grid, g=gaussian, snapshot_times=[3.2], collect_history=False).snapshots[0]
+            if ref is None:
+                r, ref = snap.r[1:], self.exact(n, snap.t, snap.r[1:])
+            err = snap.u[:: 2**level][1 : r.size + 1] - ref
+            errs.append(math.sqrt(0.08 * np.sum(r ** (n - 1) * err**2)))
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert all(1.8 <= o <= 2.2 for o in orders), (errs, orders)
+
+
 def textbook_step(t, u_prev, u_curr, grid, params, form):
     """The leapfrog update as plain array expressions over the whole grid,
     the outer node frozen: the reference the solver's in-place kernel is
@@ -693,7 +764,7 @@ def window_per_step_run(form, params, grid, snapshot_times=()):
     u, au, up = np.zeros_like(r), np.empty_like(r), dt * params.eps * initial_data(r, params)
     if form is Form.V:
         up *= 1.0 - params.mu * dt / 2.0
-    pending, snaps, history = sorted(snapshot_times), [], []
+    pending, snaps, history = sorted(round(s / dt) for s in snapshot_times), [], []
     t, amp, T_num, nc = 0.0, 0.0, None, n_nodes
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, int(round(grid.t_max / dt)) + 1):
@@ -708,7 +779,7 @@ def window_per_step_run(form, params, grid, snapshot_times=()):
                     T_num = t if not math.isfinite(new_amp) else t_prev + (grid.u_threshold - amp) / (new_amp - amp) * dt
                     break
                 amp = new_amp
-            while pending and t + dt / 2.0 >= pending[0]:
+            while pending and pending[0] == j:
                 pending.pop(0)
                 snaps.append((t, r[:nc].copy(), u[:nc].copy()))
     return T_num, t, np.array(history), snaps
