@@ -26,7 +26,7 @@ For A > 0 the a_k increase from a_1 = m + 1 > 0, so the bracket
 (p a_k + 2) p^(-k) stays positive while its p^(-k) term has one sign:
 the minimand is monotone in k and its infimum over k >= 1 is
 
-    K = min(minimand(1), 1 / (2^(p+1) A^2)).
+    K = 1 / (2^(p+1) max(A + (p B + 2)/p, A)^2),  formed as log K.
 
 Then C_(k+1) >= K C_k^p / p^(2k), which unrolls to
 
@@ -117,9 +117,9 @@ class IterationState:
 
 @dataclass(frozen=True)
 class LifespanBound:
-    """T(eps) <= T_upper = C eps^(-exponent), certified by J at delta = 2 T_upper/delta_m (inf
-    beyond the float range), where the seed constant is C0 (at the largest float if inf).
-    K and S_limit are `derive_K`'s; the bound holds for the given delta_m only: conditional."""
+    """T(eps) <= T_upper = C eps^(-exponent), certified by J at delta = 2 T_upper/delta_m (inf beyond
+    the float range), with seed constant C0 (at the largest float if inf) and `derive_K`'s K and
+    S_limit.  C and C0 are inf, K is 0.0, where only they leave the float range; conditional on delta_m."""
 
     C: float
     exponent: float
@@ -194,14 +194,15 @@ def closed_form(k: int, cfg: BoundConfig) -> tuple[float, float]:
 
 
 def derive_K(cfg: BoundConfig) -> tuple[float, float]:
-    """(K, S_limit) in closed form.
+    """(K, S_limit) in closed form, both from log K: K is 0.0 where it underflows.
 
     The minimand p^(2k) / (2^(p+1) (p a_k + 2)^2) equals
     1 / (2^(p+1) (A + (p B + 2) p^(-k))^2).  For A > 0 the bracket is
     positive for every k >= 1 and moves monotonically towards A, so the
-    infimum over k is the smaller of the k = 1 value and the limit
-    1 / (2^(p+1) A^2).  S_limit = sum_(j>=1) (j log p^2 - log K) x^j with
-    x = 1/p sums to log p^2 x/(1-x)^2 - log K x/(1-x).
+    infimum over k takes the larger of the k = 1 bracket and the limit A:
+    log K = -(p+1) log 2 - 2 log max(A + (p B + 2)/p, A), no power of 2
+    formed.  S_limit = sum_(j>=1) (j log p^2 - log K) x^j with x = 1/p sums
+    to log p^2 x/(1-x)^2 - log K x/(1-x).
     """
     p = cfg.params.p
     A, B = _growth_coefficients(cfg)
@@ -209,11 +210,10 @@ def derive_K(cfg: BoundConfig) -> tuple[float, float]:
         raise HypothesisError(
             f"iteration growth coefficient m + 1 - mu/2 + 2/(p-1) must be positive, got {A}"
         )
-    scale = 2.0 ** (p + 1.0)
-    K = min(1.0 / (scale * (A + (p * B + 2.0) / p) ** 2), 1.0 / (scale * A * A))
+    log_K = -(p + 1.0) * math.log(2.0) - 2.0 * math.log(max(A + (p * B + 2.0) / p, A))
     x = 1.0 / p
-    S = math.log(p * p) * x / (1.0 - x) ** 2 - math.log(K) * x / (1.0 - x)
-    return K, S
+    S = math.log(p * p) * x / (1.0 - x) ** 2 - log_K * x / (1.0 - x)
+    return math.exp(log_K), S
 
 
 def J(t: float, r: float, cfg: BoundConfig) -> float:

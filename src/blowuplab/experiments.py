@@ -296,7 +296,7 @@ def convergence_study(
         raise ValueError(f"compare_time must be > 0, got {t_c}")
     if t_c > grid.t_max:
         raise ValueError("compare_time exceeds t_max")
-    n0 = max(1, round(t_c / dt0))
+    n0 = max(1, grid.level(t_c))
     if n0 * dt0 > grid.t_max:  # one level back, which every finer level reaches
         n0 -= 1
     if n0 < 1:

@@ -29,8 +29,8 @@ origin cell is the ball r <= dr/2: no inner face, so B_0 = 0 and
 A_0 = 2n lambda^2, the limit n u_rr of L.  The operator is symmetric in
 the V-weighted inner product with a real spectrum <= 0 for every n, so
 leapfrog conserves `discrete_energy` and is stable while lambda^2 rho
-<= 4, rho the largest eigenvalue of -L dr^2: `max_stable_cfl`, which
-`run` checks before stepping.
+<= 4, rho the largest eigenvalue of -L dr^2: `max_stable_cfl`.  A mass
+c < 0 adds up to -dt^2 c to lambda^2 rho; `run` checks both before stepping.
 
 Outer boundary: no absorbing condition, so values are correct only
 inside the shrinking causal region r <= r_max - t/cfl (the discrete
@@ -122,6 +122,10 @@ class GridSpec:
     def n_nodes(self) -> int:
         return int(round(self.r_max / self.dr)) + 1
 
+    def level(self, t: float) -> int:
+        """The level j = round(t/dt) of time t, ties to the even level; `run` reports it as j dt."""
+        return round(float(t) / self.dt)
+
     def radii(self) -> np.ndarray:
         return np.arange(self.n_nodes) * self.dr
 
@@ -210,9 +214,8 @@ class _Leapfrog:
 def causal_node_count(grid: GridSpec, t: float) -> int:
     """Number of leading grid nodes unaffected by the outer boundary at time
     t: the discrete stencil moves one node per step, so the boundary
-    pollutes nodes within j(t) = t/dt of the outer node."""
-    j = int(round(t / grid.dt))
-    return max(1, min(grid.n_nodes, grid.n_nodes - j))
+    pollutes nodes within j = grid.level(t) of the outer node."""
+    return max(1, min(grid.n_nodes, grid.n_nodes - grid.level(t)))
 
 
 @dataclass(frozen=True)
@@ -224,10 +227,10 @@ class Snapshot:
 
 @dataclass
 class SolverRun:
-    """One run: T_num is the detected blow-up time, None if the run
-    survived the full t_max, and r_star the radius of the largest |u| over
-    the causal region at the stop level (None if it survived).
-    amplitude_history rows are (t, max |u| over the causal region)."""
+    """One run: T_num is the detected blow-up time (None if the run
+    survived t_max), r_star the radius of the largest |u| over the causal
+    region at the stop level (None if it survived), and amplitude_history
+    rows (t, max |u| over the causal region); t_end and every t are j dt."""
 
     form: Form
     params: ModelParams
@@ -259,14 +262,20 @@ def run(
     from the first step on is tested: T_num is refined by linear
     interpolation of the amplitude between the last level below
     u_threshold (level 0 has amplitude 0) and the first at or above it; a
-    non-finite amplitude reports the level where it appeared.  A snapshot
-    time s is taken at level round(s/dt), ties to even, the rule of the last
-    level round(t_max/dt): every s in [0, t_max] unless the run stops first.
+    non-finite amplitude reports its level.  Every time reported is a level
+    j times dt; a snapshot time s is taken at level grid.level(s), the rule
+    of the last level: every s in [0, t_max] unless the run stops first.
     """
     limit = max_stable_cfl(params.n)
     if grid.cfl > limit * (1.0 + 1e-12):
         raise ConfigurationError(
             f"cfl = {grid.cfl} exceeds the stability limit {limit:.4f} for n = {params.n}"
+        )
+    kernel = _Leapfrog(form, params, grid)  # leapfrog needs dt^2 (rho(-L) + max(0, -c)) <= 4, largest at t = 0
+    if kernel.dt2c < 0 and (load := (grid.cfl / limit) ** 2 - kernel.dt2c / 4.0) > 1.0 + 1e-12:
+        raise ConfigurationError(
+            f"the mass term c u/(1+t)^2, c = {kernel.dt2c / kernel.dt2:.6g}, breaks the stability limit: "
+            f"(cfl/{limit:.4f})^2 + dt^2 (-c)/4 = {load:.3g} > 1 for n = {params.n}; lower dr"
         )
     if not grid.r_max > grid.t_max / grid.cfl:
         raise ConfigurationError(
@@ -283,49 +292,48 @@ def run(
     for s in snapshot_times:
         if not 0 <= s <= grid.t_max:  # also rejects NaN
             raise ConfigurationError(f"snapshot time {s} outside [0, t_max]")
-    pending = sorted(round(float(s) / dt) for s in snapshot_times)
+    pending = sorted(grid.level(s) for s in snapshot_times)
     snapshots: list[Snapshot] = []
 
-    def take_due_snapshots(j: int, t: float, level: np.ndarray, nc: int) -> None:
+    def take_due_snapshots(j: int, level: np.ndarray, nc: int) -> None:
         while pending and pending[0] == j:
             pending.pop(0)
-            snapshots.append(Snapshot(t=t, r=r[:nc].copy(), u=level[:nc].copy()))
+            snapshots.append(Snapshot(t=j * dt, r=r[:nc].copy(), u=level[:nc].copy()))
 
     # two level buffers (the kernel overwrites level j-1 with level j+1) and |u|
     # of the newest level: its amplitude, then the kernel's source term
-    kernel = _Leapfrog(form, params, grid)
     u, au = np.zeros_like(r), np.empty_like(r)  # level 0: u = 0, amplitude 0
-    t, amp, T_num, n_nodes, history = 0.0, 0.0, None, grid.n_nodes, []
-    take_due_snapshots(0, t, u, n_nodes)
+    j, amp, T_num, n_nodes, history = 0, 0.0, None, grid.n_nodes, []
+    take_due_snapshots(0, u, n_nodes)
     # |u|^p may overflow and inf - inf give NaN: reported below as a non-finite level
     with np.errstate(over="ignore", invalid="ignore"):
         # level 1 from u = 0, u_t = eps g: u_tt(0) = -b_mu eps g, which gives
         # the factor (1 - b_mu dt/2), exactly 1 outside the damped form
         up = dt * params.eps * g_vals * (1.0 - kernel.b_mu * dt / 2.0)
         np.abs(up, au)
-        for j in range(1, int(round(grid.t_max / dt)) + 1):
-            nc = max(n_nodes - j, 1)  # causal_node_count(grid, j dt), without the float rounding
+        for j in range(1, grid.level(grid.t_max) + 1):
+            nc = max(n_nodes - j, 1)  # causal_node_count(grid, j dt), inline: one call per step costs time
             if j > 1:
                 if j % 64 == 2:  # one window for 64 steps: node i < nc(j+1) reads only nodes i+-1 < nc(j)
                     steps = kernel.bind(u, up, nc, au), kernel.bind(up, u, nc, au)
-                steps[j % 2](t)
-            u, up, t_prev, t = up, u, t, t + dt
+                steps[j % 2]((j - 1) * dt)
+            u, up = up, u
             new_amp = float(au[:nc].max())
             if collect_history:
-                history.append((t, new_amp))
+                history.append((j * dt, new_amp))
             if not math.isfinite(new_amp):
-                T_num = t
+                T_num = j * dt
                 break
             if new_amp >= grid.u_threshold:  # amp < u_threshold <= new_amp
-                T_num = t_prev + (grid.u_threshold - amp) / (new_amp - amp) * dt
+                T_num = (j - 1) * dt + (grid.u_threshold - amp) / (new_amp - amp) * dt
                 break
             amp = new_amp
             if pending:
-                take_due_snapshots(j, t, u, nc)
+                take_due_snapshots(j, u, nc)
 
     hist = np.asarray(history) if history else np.empty((0, 2))
     r_star = None if T_num is None else float(r[np.argmax(au[:nc])])  # au holds |u| of the stop level
-    return SolverRun(form, params, grid, T_num, t, hist, snapshots, r_star)
+    return SolverRun(form, params, grid, T_num, j * dt, hist, snapshots, r_star)
 
 
 def discrete_energy(u_prev: np.ndarray, u_curr: np.ndarray, grid: GridSpec, n: int) -> float:
@@ -397,16 +405,16 @@ def transform_times(grid: GridSpec, times: Sequence[float] = ()) -> tuple[float,
 
 
 def compare_forms(run_u: SolverRun, run_v: SolverRun) -> TransformReport:
-    """Report max |u - (1+t)^(mu/2) v| / max |u| over the snapshots that a
-    u-form and a v-form run of the same problem both took."""
+    """Report max |u - (1+t)^(mu/2) v| / max |u| over the snapshots that a u-form and a
+    v-form run both took, at times j dt equal bitwise on one grid (else ValueError)."""
     pairs = list(zip(run_u.snapshots, run_v.snapshots))
     if not pairs:
         raise ValueError("no common snapshots before blow-up; lower the snapshot times")
     u_scale = max(float(np.max(np.abs(su.u))) for su, _ in pairs)
     ds = []
     for su, sv in pairs:
-        if abs(su.t - sv.t) > 1e-12:
-            raise AssertionError("snapshot times diverged between forms")
+        if su.t != sv.t:
+            raise ValueError(f"snapshot times differ between forms: t = {su.t} in the u-form, {sv.t} in the v-form")
         nc = min(su.u.size, sv.u.size)
         ds.append(float(np.max(np.abs(su.u[:nc] - (1.0 + su.t) ** (run_u.params.mu / 2.0) * sv.u[:nc]))))
     return TransformReport(

@@ -195,6 +195,29 @@ class TestDeriveK:
             rhs = cfg.params.p**k * (seed_constant(cfg) - S_limit)
             assert state.logC >= rhs - 1e-9 * max(1.0, abs(rhs))
 
+    # formed in floats, 2^(p+1) A^2 overflowed at p = 1022 (K read 0 and log K
+    # raised) and 2^(p+1) itself at p = 1023; K is now formed in log space
+    @pytest.mark.parametrize("p", [3.0, 1022.0, 1023.0, 1100.0, 5000.0])
+    def test_matches_a_high_precision_minimum(self, p):
+        # references built at 50 digits from the definitions: K the minimum of
+        # the minimand over k <= 40 and its limit, S_limit the sum of its series
+        import mpmath
+
+        cfg = make_cfg(n=3, mu=0.0, p=p, kbar=1e-4)
+        K, S_limit = derive_K(cfg)
+        mp = mpmath.mp
+        with mpmath.workdps(50):
+            pm, m = mp.mpf(p), cfg.params.m
+            a, minimand = mp.mpf(m + 1), []
+            for k in range(1, 41):  # a_(k+1) = p a_k + 2 at mu = 0
+                minimand.append(pm ** (2 * k) / (2 ** (pm + 1) * (pm * a + 2) ** 2))
+                a = pm * a + 2
+            K_ref = min(*minimand, 1 / (2 ** (pm + 1) * (m + 1 + 2 / (pm - 1)) ** 2))
+            S_ref = mpmath.nsum(lambda j: (j * mp.log(pm**2) - mp.log(K_ref)) * pm ** (-j), [1, mpmath.inf])
+        assert K == pytest.approx(float(K_ref), rel=1e-12, abs=0.0)
+        assert (K == 0.0) == (p >= 1100.0)
+        assert S_limit == pytest.approx(float(S_ref), rel=1e-12)
+
     @pytest.mark.parametrize("p", [1.1, 1.01, 1.001])
     def test_p_near_one_gives_finite_bound(self, p):
         cfg = make_cfg(n=3, mu=0.0, p=p, kbar=0.5)

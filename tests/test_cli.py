@@ -192,6 +192,21 @@ class TestBound:
         assert (code, out) == (2, "")
         assert err.startswith("error: math range error: ") and "log T_upper = " in err
 
+    # at a small h = kbar + mu/2, p_F(h) is large: p = 1022 exited 2 with "math
+    # domain error" (K underflowed to 0), p >= 1023 with "(34, 'Numerical result
+    # out of range')" (2^(p+1) overflowed); neither named the reason
+    @pytest.mark.parametrize("p, log_T, K", [("1022", "2246.17", 2.77590204605339e-309), ("1100", "2427.15", 0.0), ("5000", "13872.9", 0.0)])
+    def test_a_large_p_names_T_upper_beyond_the_float_range(self, capsys, p, log_T, K):
+        args = ["bound", "--n", "3", "--mu", "0", "--nu", "0", "--kbar", "0.0001", "--p", p, "--eps", "1"]
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: math range error: T_upper is beyond the float range, log T_upper = {log_T}\n"
+        code, out, _ = run_cli(capsys, *args, "--M", "1e300")  # a bound exists for large data
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["T_upper"] == 1.0
+        assert payload["K"] == pytest.approx(K, rel=1e-12, abs=0.0)
+
 
 class TestAtlas:
     def test_artifacts_and_annotations(self, capsys, tmp_path):
@@ -396,6 +411,20 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["u"]["outcome"] == payload["v"]["outcome"] == "Survived"
         assert payload["transform_check"]["times"] == [payload["u"]["t_end"]]
+
+    def test_a_mass_term_beyond_the_stability_limit_exits_2(self, capsys, tmp_path):
+        # c = (mu/2)(mu/2 - 1) - nu = -2000 adds dt^2 |c|/4 = 2.45 to (cfl/0.7926)^2 = 0.78:
+        # this run reported BlewUp at T_num = 0.910, and the same at dr = 0.025 survives
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--mu", "2", "--nu", "2000", "--kbar", "0.5", "--p", "1.8",
+            "--eps", "0.05", "--form", "u", "--dr", "0.1", "--r-max", "12", "--t-max", "4",
+            "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the mass term c u/(1+t)^2, c = -2000, ") and "= 3.23 > 1 for n = 3" in err
+        assert not out_dir.exists()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [

@@ -468,6 +468,24 @@ class TestConvergenceStudy:
         assert rep.passed
         assert all(1.5 <= o <= 2.5 for o in rep.profile_orders)
 
+    # a sum of dt's put every level of these off the compare_time it was snapped to
+    @pytest.mark.parametrize("dr, compare_time", [(0.1, 1.0), (0.08, 1.0), (0.13, 1.7), (0.2, 0.5)])
+    def test_every_level_snapshots_the_reported_compare_time(self, monkeypatch, dr, compare_time):
+        # dt halves exactly, so level k of the coarse grid is level 2^l k of
+        # level l, at the same time k dt, bitwise
+        real_run, snapshot_times = experiments.run, []
+
+        def noting_run(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            snapshot_times.extend(snap.t for snap in result.snapshots)
+            return result
+
+        monkeypatch.setattr(experiments, "run", noting_run)
+        params = ModelParams(n=3, mu=0.0, nu=0.0, p=2.0, kbar=0.5, eps=0.05)
+        grid = GridSpec(dr=dr, r_max=2.0 / 0.7 + 1.0, t_max=2.0, cfl=0.7)
+        rep = convergence_study(params, grid, levels=3, form=Form.FREE, compare_time=compare_time)
+        assert snapshot_times == [rep.compare_time] * 3
+
     def test_deterministic(self):
         params = ModelParams(n=3, mu=0.0, nu=0.0, p=2.0, kbar=0.5, eps=0.05)
         grid = GridSpec(dr=0.1, r_max=10.0, t_max=4.0, cfl=0.7)

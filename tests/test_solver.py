@@ -64,19 +64,18 @@ def spectral_limit(n, n_nodes):
 
 
 def full_grid_levels(form, params, grid, g=None):
-    """Yield (t, u_prev, u_curr) from level 1 on: `run`'s level 1, then the
-    solver's kernel over the whole grid with the outer node frozen."""
+    """Yield (j dt, u_prev, u_curr) at the levels j = 1, 2, ...: `run`'s level 1,
+    then the solver's kernel over the whole grid with the outer node frozen."""
     kernel, r = _Leapfrog(form, params, grid), grid.radii()
     up, u = np.zeros_like(r), grid.dt * params.eps * (initial_data(r, params) if g is None else g(r))
     if form is Form.V:
         u = u * (1.0 - params.mu * grid.dt / 2.0)
-    t = grid.dt
-    while True:
-        yield t, up, u
+    for j in itertools.count(1):
+        yield j * grid.dt, up, u
         nxt = up.copy()
-        kernel.bind(u, nxt, grid.n_nodes - 1, np.abs(u))(t)
+        kernel.bind(u, nxt, grid.n_nodes - 1, np.abs(u))(j * grid.dt)
         nxt[-1] = u[-1]
-        up, u, t = u, nxt, t + grid.dt
+        up, u = u, nxt
 
 
 def max_energy_drift(params, grid, g, n_levels):
@@ -136,6 +135,18 @@ class TestStability:
         grid = GridSpec(dr=0.1, r_max=10.0, t_max=2.0, cfl=0.9)
         with pytest.raises(ConfigurationError, match="stability"):
             run(Form.FREE, FREE_PARAMS, grid)
+
+    @pytest.mark.parametrize("form", [Form.U, Form.V])
+    def test_a_negative_mass_lowers_the_limit(self, form):
+        # c u/(1+t)^2 adds -dt^2 c/(1+t)^2 to the spectrum of -dt^2 L, the most at
+        # t = 0, and leapfrog needs (cfl/limit)^2 + dt^2 max(0, -c)/4 <= 1; at
+        # mu = 2 both forms have c = -nu
+        grid = GridSpec(dr=0.1, r_max=4.0, t_max=1.0, cfl=0.7)
+        nu_edge = 4.0 * (1.0 - (grid.cfl / max_stable_cfl(3)) ** 2) / grid.dt**2  # 179.6
+        params = ModelParams(n=3, mu=2.0, nu=nu_edge * (1.0 - 1e-9), p=1.8, kbar=0.5, eps=0.05)
+        assert run(form, params, grid).outcome == "Survived"
+        with pytest.raises(ConfigurationError, match=r"^the mass term c u/\(1\+t\)\^2, c = -179\.6\d*, .* > 1 for n = 3; lower dr$"):
+            run(form, replace(params, nu=nu_edge * (1.0 + 1e-9)), grid)
 
     def test_run_rejects_open_domain_of_dependence(self):
         grid = GridSpec(dr=0.1, r_max=5.0, t_max=4.0, cfl=0.7)
@@ -263,17 +274,31 @@ class TestRun:
         st.integers(min_value=2, max_value=10),
         st.integers(min_value=1, max_value=400),
         st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+        st.one_of(st.just(1e8), st.floats(min_value=0.01, max_value=0.5)),
     )
-    @example(10, 3, 7, 203, [])  # t_max = 1.015 = 14.5 dt, a tie; the float time of level 14 is 4e-16 short of 1.015 - dt/2
-    def test_every_snapshot_time_is_served_once_at_its_level(self, hundredths, n, tenths, k, fractions):
+    @example(10, 3, 7, 203, [], 1e8)  # t_max = 1.015 = 14.5 dt, a tie; a sum of 14 dt's is 4e-16 short of 1.015 - dt/2
+    @example(10, 3, 7, 400, [0.5], 1e8)  # a sum of 14 dt's is 0.9799999999999996, and 14 dt 0.9799999999999999
+    @example(10, 3, 7, 400, [0.5], 0.3)  # the free wave at the origin peaks near 0.43 at t = 0.71
+    def test_every_snapshot_time_is_served_once_at_its_level(self, hundredths, n, tenths, k, fractions, threshold):
         # each time s in [0, t_max], t_max itself too, is taken exactly once,
-        # at the level round(s/dt) (ties to even), the rule of the last level
+        # at the level grid.level(s) (ties to even), the rule of the last
+        # level, unless the run stops first; every time reported is its level
+        # times dt, bitwise
         cfl, t_max = min(tenths / 10, max_stable_cfl(n)), k * 0.005
-        grid = GridSpec(dr=hundredths / 100, r_max=t_max / cfl + 1.0, t_max=t_max, cfl=cfl)
-        times = [f * t_max for f in fractions] + [t_max]
-        res = run(Form.FREE, replace(FREE_PARAMS, n=n), grid, g=gaussian, snapshot_times=times, collect_history=False)
-        assert res.outcome == "Survived"
-        assert [round(snap.t / grid.dt) for snap in res.snapshots] == sorted(round(s / grid.dt) for s in times)
+        grid = GridSpec(dr=hundredths / 100, r_max=t_max / cfl + 1.0, t_max=t_max, cfl=cfl, u_threshold=threshold)
+        dt, times = grid.dt, [f * t_max for f in fractions] + [t_max]
+        res = run(Form.FREE, replace(FREE_PARAMS, n=n), grid, g=gaussian, snapshot_times=times)
+        J = len(res.amplitude_history)
+        assert res.t_end == J * dt
+        assert np.array_equal(res.amplitude_history[:, 0], dt * np.arange(1, J + 1))
+        if res.outcome == "Survived":
+            assert J == round(t_max / dt)
+            assert len(res.snapshots) == len(times)
+        else:
+            assert (J - 1) * dt <= res.T_num <= J * dt
+            assert res.amplitude_history[-1, 1] >= threshold > res.amplitude_history[:-1, 1].max(initial=0.0)
+        served = [round(s / dt) for s in sorted(times) if round(s / dt) < J or res.outcome == "Survived"]
+        assert [snap.t for snap in res.snapshots] == [j * dt for j in served]
 
     def test_finite_propagation(self):
         # perturb the data inside r <= R0; beyond the discrete influence
@@ -637,13 +662,13 @@ class TestKernelEquivalence:
         # per-step agreement to rounding does not bound the drift over a run
         grid = kernel_grid(params)
         res = run(form, params, grid, collect_history=False)
-        t, up, u = next(full_grid_levels(form, params, grid))
-        amp = np.max(np.abs(u[: causal_node_count(grid, t)]))
-        while amp < grid.u_threshold:
-            prev_t, prev_amp = t, amp
-            t, up, u = t + grid.dt, u, textbook_step(t, up, u, grid, params, form)
-            amp = np.max(np.abs(u[: causal_node_count(grid, t)]))
-        T_ref = prev_t + (grid.u_threshold - prev_amp) / (amp - prev_amp) * grid.dt
+        _, up, u = next(full_grid_levels(form, params, grid))
+        j, amp = 1, np.max(np.abs(u[: causal_node_count(grid, grid.dt)]))
+        while amp < grid.u_threshold:  # level j + 1 is stepped from the time j dt
+            prev_amp = amp
+            up, u, j = u, textbook_step(j * grid.dt, up, u, grid, params, form), j + 1
+            amp = np.max(np.abs(u[: causal_node_count(grid, j * grid.dt)]))
+        T_ref = (j - 1) * grid.dt + (grid.u_threshold - prev_amp) / (amp - prev_amp) * grid.dt
         assert res.T_num == pytest.approx(T_ref, rel=1e-12)
 
     def test_only_non_finite_values_stop_an_unbounded_threshold(self):
@@ -743,14 +768,14 @@ class TestCausalRegion:
         n1 = causal_node_count(grid, 1.0)  # 20 steps of dt = 0.05
         assert n0 - n1 == 20
 
-    def test_late_snapshots_match_the_float_rule(self):
+    def test_late_snapshots_sit_on_their_levels(self):
         # run counts the window down by one node per step; over 5 000 levels
-        # it must still agree with causal_node_count's rounding of t/dt
+        # it must still agree with causal_node_count at the level's time
         grid = GridSpec(dr=0.1, r_max=501.0, t_max=350.0, cfl=0.7)
         times = [300.0, 340.03, 349.9, 350.0]
         res = run(Form.FREE, FREE_PARAMS, grid, g=gaussian, snapshot_times=times, collect_history=False)
-        assert res.outcome == "Survived" and round(res.t_end / grid.dt) == 5000
-        assert [snap.t for snap in res.snapshots] == pytest.approx(times, abs=grid.dt / 2)
+        assert res.outcome == "Survived" and res.t_end == 5000 * grid.dt
+        assert [snap.t for snap in res.snapshots] == [j * grid.dt for j in (4286, 4858, 4999, 5000)]
         for snap in res.snapshots:
             assert snap.u.size == snap.r.size == causal_node_count(grid, snap.t)
         assert res.snapshots[-1].u.size == grid.n_nodes - 5000
@@ -765,24 +790,24 @@ def window_per_step_run(form, params, grid, snapshot_times=()):
     if form is Form.V:
         up *= 1.0 - params.mu * dt / 2.0
     pending, snaps, history = sorted(round(s / dt) for s in snapshot_times), [], []
-    t, amp, T_num, nc = 0.0, 0.0, None, n_nodes
+    amp, T_num, nc = 0.0, None, n_nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(0, int(round(grid.t_max / dt)) + 1):
+        for j in range(0, round(grid.t_max / dt) + 1):
             if j:
                 nc = max(n_nodes - j, 1)
                 if j > 1:
-                    kernel.bind(u, up, nc, au)(t)
-                u, up, t_prev, t = up, u, t, t + dt
+                    kernel.bind(u, up, nc, au)((j - 1) * dt)
+                u, up = up, u
                 new_amp = float(np.abs(u[:nc], au[:nc]).max())
-                history.append((t, new_amp))
+                history.append((j * dt, new_amp))
                 if not math.isfinite(new_amp) or new_amp >= grid.u_threshold:
-                    T_num = t if not math.isfinite(new_amp) else t_prev + (grid.u_threshold - amp) / (new_amp - amp) * dt
+                    T_num = j * dt if not math.isfinite(new_amp) else (j - 1) * dt + (grid.u_threshold - amp) / (new_amp - amp) * dt
                     break
                 amp = new_amp
             while pending and pending[0] == j:
                 pending.pop(0)
-                snaps.append((t, r[:nc].copy(), u[:nc].copy()))
-    return T_num, t, np.array(history), snaps
+                snaps.append((j * dt, r[:nc].copy(), u[:nc].copy()))
+    return T_num, j * dt, np.array(history), snaps
 
 
 class TestBlockWindow:
@@ -869,6 +894,15 @@ class TestTransformCheck:
         assert transform_times(grid, [2.5]) == (2.5,)
         runs = [run(form, params, grid, snapshot_times=transform_times(grid)) for form in (Form.U, Form.V)]
         assert compare_forms(*runs) == transform_check(params, grid)
+
+    def test_runs_on_different_grids_are_rejected_naming_both_times(self):
+        # t = 1 is level 14 (0.98) at dr = 0.1 and level 29 (1.015) at dr = 0.05
+        params = ModelParams(n=3, mu=2.0, nu=0.0, p=1.8, kbar=0.5, eps=0.05)
+        runs = [run(form, params, GridSpec(dr=dr, r_max=12.0, t_max=4.0), snapshot_times=[1.0]) for form, dr in ((Form.U, 0.1), (Form.V, 0.05))]
+        times = [res.snapshots[0].t for res in runs]
+        assert times == [14 * runs[0].grid.dt, 29 * runs[1].grid.dt]
+        with pytest.raises(ValueError, match=re.escape(f"snapshot times differ between forms: t = {times[0]} in the u-form, {times[1]} in the v-form")):
+            compare_forms(*runs)
 
     def test_no_common_snapshot_rejected(self):
         grid = GridSpec(dr=0.1, r_max=26.0, t_max=10.0, cfl=0.7)
