@@ -20,7 +20,7 @@ import numpy as np
 
 from .bound_engine import LifespanBound
 from .exponents import ModelParams, lifespan_exponent
-from .solver import Form, GridSpec, causal_node_count, run
+from .solver import ConfigurationError, Form, GridSpec, causal_node_count, run
 
 __all__ = [
     "SweepSpec",
@@ -104,11 +104,14 @@ R_OBS = 5.0
 def _sweep_chain(task: tuple[Form, ModelParams, GridSpec, int]) -> list[float | None]:
     """T_num of each refinement level of one eps; see `sweep`."""
     form, params, grid, levels = task
-    prev = run(form, params, dataclasses.replace(grid, dr=2.0 * grid.dr), collect_history=False)
+    try:
+        prev = run(form, params, dataclasses.replace(grid, dr=2.0 * grid.dr), collect_history=False)
+    except ConfigurationError:  # a dt-dependent limit (the mass term) may reject 2 dr alone: no pilot
+        prev = None
     Ts = []
     for level in range(levels):
         full, res = grid.refined(2**level), None
-        if prev.T_num is not None and prev.r_star <= R_OBS / 2:  # the solve before blew up at the origin
+        if prev is not None and prev.T_num is not None and prev.r_star <= R_OBS / 2:  # the solve before blew up at the origin
             t_max = min(T_MARGIN * prev.T_num, full.t_max)
             cut = dataclasses.replace(full, t_max=t_max, r_max=min(t_max / full.cfl + R_OBS, full.r_max))
             res = run(form, params, cut, collect_history=False)
@@ -127,7 +130,10 @@ def sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     t_max at any level leaves the result incomplete and flagged.  A chain
     is a pilot on spec.grid with 2 dr, then each level, cut to t_max' =
     min(T_MARGIN T, t_max) and r_max' = min(t_max'/cfl + R_OBS, r_max) if
-    the solve before blew up at T with r_star <= R_OBS/2.  Causal values do
+    the solve before blew up at T with r_star <= R_OBS/2.  A pilot that
+    `run` rejects with a ConfigurationError is skipped: only a limit on dt
+    (the mass term) can reject 2 dr alone, and level 0 then runs on its
+    full grid, as after a pilot that survives.  Causal values do
     not depend on the domain size, so a cut run is the level's run while the
     largest |u| lies in the region it keeps; it falls back to the full level
     grid if it survives t_max' or its r_star lies within R_OBS/2 of the edge

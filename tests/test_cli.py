@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blowuplab
 from blowuplab import experiments, exponents, solver
 from blowuplab.bound_engine import BoundConfig, LifespanBound, derive_K, lifespan_upper_bound
 from blowuplab.cli import _build_parser, _merge, main
@@ -21,6 +24,14 @@ from blowuplab.exponents import ModelParams
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+
+
+def child_env() -> dict:
+    """This environment with the directory blowuplab was imported from first on
+    PYTHONPATH: a child interpreter runs the same package as this process, the
+    source tree or an installed copy."""
+    path = [str(Path(blowuplab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def run_cli(capsys, *args):
@@ -262,10 +273,9 @@ class TestAtlas:
     # exits 2 naming the radicand D, which leaves the float range from mu ~ 1.3e154
     @pytest.mark.parametrize("mu", ["1e9", "1e12", "1e20", "1e100", "1e200", "1e308"])
     def test_large_mu_ends_and_names_what_fails(self, tmp_path, mu):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "blowuplab.cli", "atlas", "--n", "3", "--mu", mu, "--nu", "0", "--out", str(tmp_path / "a")],
-            env=env, capture_output=True, text=True, timeout=5,
+            env=child_env(), capture_output=True, text=True, timeout=5,
         )
         if float(mu) < 1e154:
             assert proc.returncode == 0, proc.stderr
@@ -400,17 +410,23 @@ class TestSimulate:
         assert not (out_dir / "run_summary.json").exists()
 
     def test_both_forms_take_a_snapshot_at_t_max(self, capsys, tmp_path):
-        # t_max = 1.015 = 14.5 dt: the last level, 14 (ties to even), takes it
+        # t_max = 1.015 = 14.5 dt: the last level, 14 (ties to even), takes it,
+        # and every time a run reports is its level times dt, bitwise
         code, out, _ = run_cli(
             capsys,
             "simulate", "--n", "3", "--mu", "2", "--nu", "0", "--kbar", "0.5", "--p", "1.8",
             "--eps", "0.05", "--form", "both", "--dr", "0.1", "--r-max", "8", "--t-max", "1.015",
-            "--snapshot-times", "1.015", "--out", str(tmp_path / "simb"),
+            "--snapshot-times", "1.015", "--history", "--out", str(tmp_path / "simb"),
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["u"]["outcome"] == payload["v"]["outcome"] == "Survived"
         assert payload["transform_check"]["times"] == [payload["u"]["t_end"]]
+        summary = json.loads((tmp_path / "simb" / "run_summary.json").read_text(encoding="utf-8"))
+        dt = 0.7 * 0.1
+        for form in ("u", "v"):
+            assert summary[form]["t_end"] == 14 * dt
+            assert [t for t, _ in summary[form]["max_amplitude_history"]] == [k * dt for k in range(1, 15)]
 
     def test_a_mass_term_beyond_the_stability_limit_exits_2(self, capsys, tmp_path):
         # c = (mu/2)(mu/2 - 1) - nu = -2000 adds dt^2 |c|/4 = 2.45 to (cfl/0.7926)^2 = 0.78:
@@ -464,8 +480,6 @@ class TestSimulate:
     def test_unbounded_threshold_stops_without_a_warning(self, tmp_path):
         # only a non-finite level stops the run: |u|^p overflows on the way
         # there, and no numpy warning may reach stderr
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [
                 sys.executable, "-W", "default", "-m", "blowuplab.cli",
@@ -473,7 +487,7 @@ class TestSimulate:
                 "--eps", "5", "--form", "u", "--dr", "0.05", "--r-max", "40", "--t-max", "20",
                 "--u-threshold", "inf", "--out", str(tmp_path / "sim"),
             ],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         payload = json.loads(proc.stdout)
@@ -607,6 +621,22 @@ class TestSweepCommand:
         assert err.startswith("i/o error: ")
         assert run_calls == []
 
+    def test_a_pilot_the_mass_term_rejects_is_skipped(self, capsys, tmp_path, run_calls):
+        # (cfl/max_stable_cfl)^2 + dt^2 |c|/4 is 1.25 at the pilot's dr = 0.8 and 0.90
+        # at dr = 0.4: this sweep exited 2 naming the mass term.  With no pilot,
+        # level 0 runs on the full grid, as after a pilot that survives
+        args = [
+            "sweep", "--n", "3", "--mu", "6", "--nu", "6", "--kbar", "-0.5", "--p", "1.5", "--form", "v",
+            "--eps-values", "1,2,3,4", "--dr", "0.4", "--r-max", "20", "--t-max", "4",
+        ]
+        for jobs in ("1", "2"):
+            code, _, err = run_cli(capsys, *args, "--jobs", jobs, "--out", str(tmp_path / jobs))
+            assert code == 0, err
+        grids = [call[2] for call in run_calls[:12]]  # --jobs 1 ran all four chains in this process
+        assert [(g.dr, g.r_max, g.t_max) for g in grids] == [(0.8, 20.0, 4.0), (0.4, 20.0, 4.0), (0.2, 20.0, 4.0)] * 4
+        for name in ("sweep.csv", "sweep_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_eps_list_is_a_validation_error(self, capsys, tmp_path, source):
         args = [
@@ -658,10 +688,13 @@ class TestConvergeCommand:
 
     def test_r_max_off_the_grid_compares_the_shared_nodes(self, capsys, tmp_path):
         # r_max/dr = 175.625 gives 177 coarse nodes but 352, not 353, at dr/2;
-        # the nodes all levels share are those of r_max = 14
+        # the nodes all levels share are those of r_max = 14, the README's
+        # example, whose summary file holds the bytes it prints
+        printed = {}
         for r_max in ("14", "14.05"):
-            code, _, err = run_cli(capsys, *self.README, "--r-max", r_max, "--out", str(tmp_path / r_max))
+            code, printed[r_max], err = run_cli(capsys, *self.README, "--r-max", r_max, "--out", str(tmp_path / r_max))
             assert code == 0, err
+        assert (tmp_path / "14" / "convergence.json").read_bytes() == printed["14"].encode("utf-8")
         assert (tmp_path / "14.05" / "convergence.json").read_bytes() == (tmp_path / "14" / "convergence.json").read_bytes()
 
     def test_compare_time_at_t_max_snaps_to_a_level_every_grid_reaches(self, capsys, tmp_path):
@@ -872,6 +905,26 @@ class TestCommittedConfigs:
         assert (cfg["p"], cfg["kbar"], cfg["M"], cfg["r_max"], cfg["t_max"]) == (1.8, 0.5, 0.02, 500.0, 230.0)
 
 
+def test_the_readme_commands_exit_0_and_print_strict_json(capsys, monkeypatch, tmp_path):
+    # every blowuplab command of the sh blocks under "Command-line interface"
+    # and "Experiment configs", continuation lines joined, each run in its own
+    # directory with a copy of configs/, as a reader runs them
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for heading in ("## Command-line interface", "## Experiment configs"):
+        section = readme.split(heading + "\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        found = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("blowuplab ")]
+        assert found, f"no blowuplab command under {heading!r}"
+        commands += found
+    for i, args in enumerate(commands):
+        shutil.copytree(CONFIGS, tmp_path / str(i) / "configs")
+        monkeypatch.chdir(tmp_path / str(i))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, (args, err)
+        strict_json(out)
+
+
 class TestJobs:
     def test_jobs_below_two_run_serially(self, capsys, tmp_path):
         # no worker: --jobs 0 and --jobs 1 run every chain in this process
@@ -888,16 +941,24 @@ class TestJobs:
         assert outs[0] == outs[1]
         assert (tmp_path / "0" / "sweep.csv").read_bytes() == (tmp_path / "1" / "sweep.csv").read_bytes()
 
-    def test_a_ctrl_c_at_two_jobs_prints_only_interrupted_and_leaves_nothing(self, tmp_path):
+    def test_the_criterion_7_config_writes_the_same_bytes_at_one_and_two_jobs(self, capsys, tmp_path):
+        # the lanes take whole eps chains and change no byte of the output
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", str(CONFIGS / "lifespan_sweep_c7.cfg"), "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        capsys.readouterr()
+        for name in ("sweep.csv", "sweep_summary.json", "bound_check.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_ctrl_c_prints_only_interrupted_and_leaves_nothing(self, tmp_path, jobs):
         # SIGINT to the whole process group, as a terminal sends it, one
-        # second into the criterion-7 sweep; three levels keep it running
-        # well past that second
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        args = ["sweep", "--config", str(CONFIGS / "lifespan_sweep_c7.cfg"), "--refinement-levels", "3", "--jobs", "2"]
+        # second into the criterion-7 sweep, serial and with a forked worker;
+        # three levels keep it running well past that second.  The --out and
+        # the parent made for it are both gone
+        args = ["sweep", "--config", str(CONFIGS / "lifespan_sweep_c7.cfg"), "--refinement-levels", "3", "--jobs", jobs]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "blowuplab.cli", *args, "--out", str(tmp_path / "out")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            [sys.executable, "-m", "blowuplab.cli", *args, "--out", str(tmp_path / "o" / "p")],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
         )
         try:
             time.sleep(1.0)
@@ -908,7 +969,7 @@ class TestJobs:
             subprocess.run(["pkill", "-KILL", "-g", str(proc.pid)])
             proc.wait()
         assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
-        assert not (tmp_path / "out").exists()
+        assert tree(tmp_path) == {}
         assert left == ""
 
 
@@ -931,9 +992,7 @@ class TestImportCost:
     def test_loading_the_package_loads_no_pool(self):
         # a sweep imports multiprocessing when it runs, not before
         script = "import sys, blowuplab.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -965,11 +1024,9 @@ class TestImportCost:
             print(json.dumps({"codes": codes, "values": values}))
             """
         )
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "atlas")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
